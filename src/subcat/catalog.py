@@ -549,6 +549,30 @@ def find_nontrivial_idempotent(m: Rep, cap: int = END_ENUM_CAP) -> Optional[Morp
     return None
 
 
+def is_brick(m: Rep, cap: int = END_ENUM_CAP) -> bool:
+    """Is End(m) a division ring: is every nonzero endomorphism invertible?
+
+    dim End = 1 suffices but is not necessary, since End can be a field
+    F_{p^k}.  Otherwise enumerates the endomorphism space; raises
+    CapExceeded when p^dim End exceeds the cap.
+    """
+    if m.total_dim == 0:
+        return False
+    basis = hom_basis(m, m)
+    if len(basis) == 1:
+        return True
+    p = m.algebra.p
+    if p ** len(basis) > cap:
+        raise CapExceeded(f"End space of dimension {len(basis)} exceeds brick test cap")
+    for coeffs in product(range(p), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        f = morphism_from_coeffs(basis, coeffs, m, m)
+        if any(rref(c).rank < d for c, d in zip(f.comps, m.dims)):
+            return False
+    return True
+
+
 def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[list[list[Fraction]]]:
     """Exact inverse of an integer matrix, or None when singular."""
     n = len(rows)
@@ -747,6 +771,9 @@ def load_module(algebra: Algebra, path: str | Path) -> Rep:
         raise ParseError(f"{path}: unknown arrow names {sorted(stray_a)}")
     try:
         dims = tuple(int(dims_map.get(v, 0)) for v in algebra.vertices)
+        for v, d in zip(algebra.vertices, dims):
+            if d < 0:
+                raise ParseError(f"{path}: dimension at vertex {v} is negative ({d})")
         mats = []
         for a in algebra.arrows:
             want_rows, want_cols = dims[a.target], dims[a.source]
@@ -760,6 +787,8 @@ def load_module(algebra: Algebra, path: str | Path) -> Rep:
                     f"{path}: matrix for arrow {a.name} must be {want_rows}x{want_cols}"
                 )
             mats.append(Mat.from_rows(algebra.p, entries, ncols=want_cols))
+    except ParseError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed module file ({exc})") from None
     rep = Rep(algebra, dims, tuple(mats))

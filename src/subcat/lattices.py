@@ -1,11 +1,35 @@
-"""Class checkers and lattice enumeration for the seven subcategory kinds.
+"""Subcategory families of the seven kinds, and the bounded class checkers.
 
-Checker design, per closure condition:
+Enumeration (``enumerate_family``, strategy ``auto``) is exact and derives
+every family from lattice identities over bitset tables, built lazily per
+catalog and cached on it:
 
-* extensions: exact on indecomposable pairs via the extension table; an
-  extension by a direct sum refines into iterated extensions by the
-  summands (pull back along one quotient summand, push out along one
-  submodule summand), so pair closure implies full closure.
+* ``Q[i]`` = tors({i}) and ``S[i]`` = torf({i}), one trace/reject chain
+  closure per indecomposable, and the extension table read as bit rows.
+  Extension closure of a set of indecomposables is a bitset fixpoint over
+  member pairs; pair closure suffices, since an extension by direct sums
+  refines into iterated extensions by summands.
+* serre: NextClosure (Ganter) over ``serre_closure``.
+* tors, torf: NextClosure over tors(X) = Filt(union of Q[x]), since the join
+  of torsion classes is Filt of their union; torf dually with ``S``.
+* wide: {Filt(B) : B a semibrick} (Ringel 1976).  A brick has a division
+  ring as endomorphism ring; a semibrick is a set of pairwise Hom-orthogonal
+  bricks.
+* ie: {T meet F} over torsion classes T and torsion-free classes F, the
+  source paper's characterization of IE-closed subcategories.
+* ice: {T meet W} and ike: {F meet W} over wide subcategories W
+  (Enomoto-Sakai; every catalog in scope is tau-tilting finite).
+
+The identities hold in the whole module category.  A user catalog that is
+not marked complete therefore builds both chain tables first, which
+identifies every trace quotient and reject of its members and raises
+UnknownModule when one is missing.
+
+``is_closed`` is the independent, bounded oracle, and strategy
+``bruteforce`` filters all 2^n subsets through it.  Its checks, per closure
+condition:
+
+* extensions: exact on indecomposable pairs via the extension table.
 * images: exact with no caps.  The image of a map between sums of members
   is both a quotient of a sum (full trace) and a submodule of a sum (zero
   reject), and conversely any such module is an image, so closure under
@@ -22,18 +46,17 @@ Checker design, per closure condition:
   cap-robustness checks document.
 * cokernels: the kernel search on the opposite catalog.
 
-The torsion-theoretic kinds (serre, tors, torf, ie) have exact closure
+serre, tors, torf and ie are decided exactly through the chain closure
 operators and need none of the above.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Optional
 
-from .catalog import Catalog, ModuleId, mid_add, mid_counts, mid_from_counts
+from .catalog import Catalog, ModuleId, is_brick, mid_add, mid_counts, mid_from_counts
 from .closures import (
     SubcatBits,
     fac_contains,
@@ -400,52 +423,134 @@ def _next_closure_enum(cl: Callable[[int], int], n: int) -> list[int]:
         current = nxt
 
 
+# -- exact lattice path ------------------------------------------------------------------
+
+
+def _ext_rows(cat: Catalog) -> tuple[tuple[int, ...], ...]:
+    """Bits of every summand of a middle term of an extension between i and j, either way."""
+    memo = cat._closure_memo
+    if "ext_rows" not in memo:
+        def row(i: int) -> tuple[int, ...]:
+            out = []
+            for j in range(cat.n):
+                bits = 0
+                for mid in cat.ext_table[(i, j)] | cat.ext_table[(j, i)]:
+                    for k in mid:
+                        bits |= 1 << k
+                out.append(bits)
+            return tuple(out)
+
+        memo["ext_rows"] = tuple(row(i) for i in range(cat.n))
+    return memo["ext_rows"]
+
+
+def _ext_closure(rows: tuple[tuple[int, ...], ...], bits: int) -> int:
+    """Least superset closed under summands of middle terms between its members."""
+    done = 0
+    paired: list[int] = []
+    while bits != done:
+        k = (bits & ~done).bit_length() - 1
+        done |= 1 << k
+        paired.append(k)
+        row = rows[k]
+        for j in paired:
+            bits |= row[j]
+    return bits
+
+
+def _singleton_closures(cat: Catalog, kind: str) -> tuple[int, ...]:
+    """Q (kind tors) or S (kind torf): the chain closure of each indecomposable."""
+    key = ("singletons", kind)
+    if key not in cat._closure_memo:
+        op = tors_closure if kind == "tors" else torf_closure
+        cat._closure_memo[key] = tuple(op(SubcatBits(cat, 1 << i)).bits for i in range(cat.n))
+    return cat._closure_memo[key]
+
+
+def _table_closure(cat: Catalog, kind: str, bits: int) -> int:
+    """tors or torf closure as Filt of the union of the singleton closures."""
+    single = _singleton_closures(cat, kind)
+    union = 0
+    for i in SubcatBits(cat, bits).indices():
+        union |= single[i]
+    return _ext_closure(_ext_rows(cat), union)
+
+
+def _semibricks(cat: Catalog) -> list[int]:
+    """Every set of pairwise Hom-orthogonal bricks, as bitsets (the empty one too)."""
+    bricks = [k for k in range(cat.n) if is_brick(cat.indecs[k])]
+    orth = {
+        i: sum(1 << j for j in bricks
+               if j != i and cat.hom_dims[i][j] == 0 and cat.hom_dims[j][i] == 0)
+        for i in bricks
+    }
+    out = []
+
+    def grow(chosen: int, candidates: int) -> None:
+        out.append(chosen)
+        for k in SubcatBits(cat, candidates).indices():
+            grow(chosen | (1 << k), candidates & orth[k] & ~((2 << k) - 1))
+
+    grow(0, sum(1 << k for k in bricks))
+    return out
+
+
+_MEETS = {"ice": ("tors", "wide"), "ike": ("torf", "wide"), "ie": ("tors", "torf")}
+
+
+def _lattice_bitsets(cat: Catalog, kind: str) -> frozenset[int]:
+    """The family of one kind from the lattice identities, memoized on the catalog."""
+    memo = cat._closure_memo.setdefault("families", {})
+    if kind in memo:
+        return memo[kind]
+    if kind != "serre" and not cat.complete:
+        # completeness probe: identifies every trace quotient and reject of members
+        _singleton_closures(cat, "tors")
+        _singleton_closures(cat, "torf")
+    if kind == "serre":
+        bitsets = _next_closure_enum(_closure_operator("serre", cat), cat.n)
+    elif kind in ("tors", "torf"):
+        bitsets = _next_closure_enum(lambda bits: _table_closure(cat, kind, bits), cat.n)
+    elif kind == "wide":
+        rows = _ext_rows(cat)
+        bitsets = [_ext_closure(rows, b) for b in _semibricks(cat)]
+    else:
+        left, right = _MEETS[kind]
+        rights = _lattice_bitsets(cat, right)
+        bitsets = {a & b for a in _lattice_bitsets(cat, left) for b in rights}
+    memo[kind] = frozenset(bitsets)
+    return memo[kind]
+
+
 def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto",
-                     cfg: Optional[CheckConfig] = None, workers: Optional[int] = None) -> Family:
+                     cfg: Optional[CheckConfig] = None) -> Family:
     """Enumerate all subcategories of one kind.
 
-    ``nextclosure`` walks the closed sets of the exact closure operator and
-    is valid for serre/tors/torf only; ``bruteforce`` filters all 2^n
-    subsets through is_closed; ``auto`` picks nextclosure when available.
-    Both strategies return identical families.
+    ``auto`` derives the family exactly from the lattice tables (see the
+    module docstring).  ``nextclosure`` walks the closed sets of the chain
+    closure operators and is valid for serre/tors/torf only; ``bruteforce``
+    filters all 2^n subsets through the bounded checker is_closed.  All
+    strategies return identical families; the other two are its oracles.
     """
     cfg = cfg or CheckConfig()
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
-    has_operator = kind in ("serre", "tors", "torf")
     if strategy == "auto":
-        strategy = "nextclosure" if has_operator else "bruteforce"
-    if strategy == "nextclosure":
-        if not has_operator:
+        bitsets = _lattice_bitsets(cat, kind)
+    elif strategy == "nextclosure":
+        if kind not in ("serre", "tors", "torf"):
             raise ShapeError(f"nextclosure needs an exact closure operator; {kind} has none")
         bitsets = _next_closure_enum(_closure_operator(kind, cat), cat.n)
-        return Family(kind, cat, _sorted_members(cat, bitsets), cfg)
-    if strategy != "bruteforce":
-        raise ShapeError(f"unknown strategy {strategy!r}")
-    subsets = range(1 << cat.n)
-    if workers is None:
-        workers = int(os.environ.get("SUBCAT_THREADS", "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def ok(bits: int) -> bool:
-            return is_closed(kind, SubcatBits(cat, bits), cfg)[0]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(ok, subsets))
-        bitsets = [b for b, flag in zip(subsets, flags) if flag]
+    elif strategy == "bruteforce":
+        bitsets = [b for b in range(1 << cat.n) if is_closed(kind, SubcatBits(cat, b), cfg)[0]]
     else:
-        bitsets = [b for b in subsets if is_closed(kind, SubcatBits(cat, b), cfg)[0]]
+        raise ShapeError(f"unknown strategy {strategy!r}")
     return Family(kind, cat, _sorted_members(cat, bitsets), cfg)
 
 
 def enumerate_ie_by_intersection(cat: Catalog, cfg: Optional[CheckConfig] = None) -> Family:
     """All pairwise intersections of torsion classes with torsion-free classes."""
-    cfg = cfg or CheckConfig()
-    tors_fam = enumerate_family(cat, "tors", "nextclosure", cfg)
-    torf_fam = enumerate_family(cat, "torf", "nextclosure", cfg)
-    bitsets = {t.bits & f.bits for t in tors_fam.members for f in torf_fam.members}
-    return Family("ie", cat, _sorted_members(cat, bitsets), cfg)
+    return enumerate_family(cat, "ie", "auto", cfg)
 
 
 # -- Hasse diagrams ---------------------------------------------------------------------
@@ -552,12 +657,10 @@ def algebra_is_obviously_commutative(cat: Catalog) -> bool:
 
 
 def relations_report(cat: Catalog, cfg: Optional[CheckConfig] = None,
-                     label: str = "", workers: Optional[int] = None) -> RelationsReport:
+                     label: str = "") -> RelationsReport:
     """Enumerate every family and verify the inclusion diagram on it."""
     cfg = cfg or CheckConfig()
-    families = {
-        kind: enumerate_family(cat, kind, "auto", cfg, workers=workers) for kind in KINDS
-    }
+    families = {kind: enumerate_family(cat, kind, "auto", cfg) for kind in KINDS}
     inclusions = []
     for a, b in INCLUSION_ARROWS:
         inclusions.append((a, b, families[a].bitsets() <= families[b].bitsets()))

@@ -77,6 +77,9 @@ class Algebra:
             for coeff, path in rel:
                 if not path:
                     raise ShapeError("empty path in relation")
+                undeclared = [a for a in path if a not in aindex]
+                if undeclared:
+                    raise ShapeError(f"relation uses undeclared arrow {undeclared[0]}")
                 idxs = tuple(aindex[a] for a in path)
                 for prev, nxt in zip(idxs, idxs[1:]):
                     if arrs[prev].target != arrs[nxt].source:

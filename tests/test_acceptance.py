@@ -210,8 +210,10 @@ def test_criterion_09_cap_robustness(cats):
     doubled = CheckConfig(mult_cap=4, dim_cap=32)
     for name, cat in cats.items():
         for kind in KINDS:
-            small = enumerate_family(cat, kind, "auto", base).bitsets()
-            large = enumerate_family(cat, kind, "auto", doubled).bitsets()
+            # the bounded checker is what the caps govern
+            strategy = "bruteforce" if kind in ("wide", "ice", "ike", "ie") else "auto"
+            small = enumerate_family(cat, kind, strategy, base).bitsets()
+            large = enumerate_family(cat, kind, strategy, doubled).bitsets()
             assert small == large, (name, kind)
     report("criterion-9", "doubling mult and dimension caps changes no family")
 

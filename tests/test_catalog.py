@@ -376,6 +376,17 @@ def test_partial_catalog_flags_unknown_modules(tmp_path):
         serre_closure(SubcatBits.of(cat, [1]))
 
 
+def test_partial_catalog_flags_unknown_modules_in_lattice_path(tmp_path):
+    from subcat.errors import UnknownModule
+    from subcat.lattices import enumerate_family
+
+    apath, mpaths = write_a2_files(tmp_path, include=("A", "B"))
+    cat = load_catalog(apath, mpaths)
+    # B/A is the missing simple C; the lattice path must not derive around it
+    with pytest.raises(UnknownModule):
+        enumerate_family(cat, "wide")
+
+
 def test_partial_catalog_identify_unknown_sum(tmp_path):
     from subcat.errors import UnknownModule
 

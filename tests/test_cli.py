@@ -194,6 +194,33 @@ def test_bad_module_file(a2_files, capsys):
     assert "D.json" in err
 
 
+def test_relation_with_undeclared_arrow(a2_files, capsys):
+    (a2_files / "algebra.json").write_text(json.dumps({
+        "field_char": 2,
+        "vertices": ["1", "2"],
+        "arrows": [{"name": "a", "from": "1", "to": "2"}],
+        "relations": [[{"coeff": 1, "path": ["b"]}]],
+    }))
+    code, _, err = run(
+        capsys, "catalog",
+        "--algebra", str(a2_files / "algebra.json"),
+        "--modules", str(a2_files / "mods"),
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "undeclared arrow b" in err
+
+
+def test_negative_dimension_in_module_file(a2_files, capsys):
+    (a2_files / "mods" / "D.json").write_text(json.dumps({"dims": {"1": -1, "2": 1}}))
+    code, _, err = run(
+        capsys, "catalog",
+        "--algebra", str(a2_files / "algebra.json"),
+        "--modules", str(a2_files / "mods"),
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and "D.json" in err and "vertex 1 is negative" in err
+
+
 def test_modules_without_algebra(capsys):
     code, _, err = run(capsys, "catalog", "--builtin", "a2", "--modules", "/nowhere")
     assert code == 2
@@ -221,12 +248,13 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
 
 
 def test_threads_env_byte_identical(monkeypatch, capsys):
+    # SUBCAT_THREADS is no longer read: a stale value in the environment changes nothing
     monkeypatch.delenv("SUBCAT_THREADS", raising=False)
-    code, serial, _ = run(capsys, "enumerate", "--builtin", "a2", "--kind", "all",
-                          "--format", "json")
+    code, first, _ = run(capsys, "enumerate", "--builtin", "a2", "--kind", "all",
+                         "--format", "json")
     assert code == 0
     monkeypatch.setenv("SUBCAT_THREADS", "4")
-    code, threaded, _ = run(capsys, "enumerate", "--builtin", "a2", "--kind", "all",
-                            "--format", "json")
+    code, second, _ = run(capsys, "enumerate", "--builtin", "a2", "--kind", "all",
+                          "--format", "json")
     assert code == 0
-    assert serial == threaded
+    assert first == second

@@ -1,0 +1,97 @@
+"""The exact lattice path against its oracles: brute force, chain closures, published counts."""
+
+import json
+from math import comb
+
+import pytest
+
+from subcat.catalog import build_builtin, is_brick, load_catalog
+from subcat.closures import SubcatBits, torf_closure, tors_closure
+from subcat.lattices import _table_closure, enumerate_family
+from subcat.linalg import Mat
+from subcat.rep import Algebra, Rep, hom_basis
+
+AN3_WORDS = (">>", "<<", "<>", "><")
+DERIVED = ("wide", "ice", "ike", "ie")
+
+
+def nakayama_a3_rad2(tmp_path):
+    """A3 linearly oriented with rad^2 = 0: three simples and two length-2 projectives."""
+    apath = tmp_path / "algebra.json"
+    apath.write_text(json.dumps({
+        "field_char": 2,
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"}],
+        "relations": [[{"coeff": 1, "path": ["a", "b"]}]],
+    }))
+    mods = tmp_path / "mods"
+    mods.mkdir()
+    modules = {
+        "S1": {"dims": {"1": 1}},
+        "S2": {"dims": {"2": 1}},
+        "S3": {"dims": {"3": 1}},
+        "P1": {"dims": {"1": 1, "2": 1}, "matrices": {"a": [[1]]}},
+        "P2": {"dims": {"2": 1, "3": 1}, "matrices": {"b": [[1]]}},
+    }
+    for name, data in modules.items():
+        (mods / f"{name}.json").write_text(json.dumps(data))
+    return load_catalog(apath, sorted(mods.glob("*.json")))
+
+
+@pytest.mark.parametrize("descriptor,p", [
+    ("a2", 2), ("a3", 2), *((f"an:3:{w}", 2) for w in AN3_WORDS),
+    ("uniserial:2", 2), ("uniserial:3", 2), ("uniserial:4", 2), ("a2", 3), ("a3", 3),
+])
+def test_lattice_equals_bruteforce(descriptor, p):
+    cat = build_builtin(descriptor, p=p)
+    for kind in DERIVED:
+        lattice = enumerate_family(cat, kind)
+        brute = enumerate_family(cat, kind, "bruteforce")
+        assert lattice.member_names() == brute.member_names(), (descriptor, p, kind)
+
+
+def test_lattice_equals_bruteforce_nakayama(tmp_path):
+    cat = nakayama_a3_rad2(tmp_path)
+    assert cat.n == 5 and not cat.complete
+    for kind in DERIVED:
+        lattice = enumerate_family(cat, kind)
+        brute = enumerate_family(cat, kind, "bruteforce")
+        assert lattice.member_names() == brute.member_names(), kind
+
+
+# a3 is the builtin an:3:>>, so the four orientations cover it
+@pytest.mark.parametrize("word", AN3_WORDS)
+def test_table_operator_equals_chain_closures(word):
+    cat = build_builtin(f"an:3:{word}")
+    for bits in range(1 << cat.n):
+        s = SubcatBits(cat, bits)
+        assert _table_closure(cat, "tors", bits) == tors_closure(s).bits, bits
+        assert _table_closure(cat, "torf", bits) == torf_closure(s).bits, bits
+
+
+def large_schroeder(n):
+    return sum(comb(n, k) * comb(n + k, k) // (k + 1) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("n,wide,schroeder", [(5, 132, 394), (6, 429, 1806)])
+def test_published_counts(n, wide, schroeder):
+    assert comb(2 * (n + 1), n + 1) // (n + 2) == wide
+    assert large_schroeder(n) == schroeder
+    cat = build_builtin(f"an:{n}")
+    assert enumerate_family(cat, "wide").count == wide
+    assert enumerate_family(cat, "ice").count == schroeder
+    assert enumerate_family(cat, "ike").count == schroeder
+
+
+def test_brick_with_field_extension_endomorphisms():
+    """x = [[0,1],[1,1]] generates F_4 over F_2: End has dimension 2 and is a field."""
+    alg = Algebra.build(2, ["1"], [("x", "1", "1")])
+    m = Rep(alg, (2,), (Mat.from_rows(2, [[0, 1], [1, 1]], ncols=2),))
+    assert len(hom_basis(m, m)) == 2
+    assert is_brick(m)
+
+
+def test_uniserial_m2_is_not_a_brick():
+    """End(M2) = k[x]/x^2 has the nonzero nilpotent x."""
+    m2 = build_builtin("uniserial:2").indecs[1]
+    assert not is_brick(m2)
