@@ -6,6 +6,13 @@ of extension middle terms, and the simple members.  Arbitrary computed
 modules are identified as multisets of catalog indices (Krull-Schmidt
 labels); the Hom-dimension profile is the memoization key, which is checked
 for injectivity on catalog members at build time.
+
+Identification decodes a Hom profile into multiplicities with an integer
+inverse of the Hom-dimension matrix, A = D * H^-1 for the least positive D,
+computed once per catalog: a profile decodes by integer dot products and a
+divisibility test by D.  The mu bounds (how many copies of an
+indecomposable a morphism into another can need) serve only the bounded
+kernel search, so they are built on its first use, not at catalog build.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -105,19 +114,14 @@ class Catalog:
             tuple(len(self._hom_bases[(i, j)]) for j in range(n)) for i in range(n)
         )
         self._check_entries(trusted_indecomposable)
-        self._hinv = _invert_over_rationals(self.hom_dims)
+        self._inverse = _invert_over_rationals(self.hom_dims)
         self.simples = tuple(k for k, m in enumerate(self.indecs) if m.total_dim == 1)
         self._vertex_simple = self._map_vertex_simples()
         self.ext_table: dict[tuple[int, int], frozenset] = {}
         for i in range(n):
             for j in range(n):
                 self.ext_table[(i, j)] = frozenset(self._ext_middles(i, j))
-        self._mu = tuple(
-            tuple(self._mu_bound(i, j) for j in range(n)) for i in range(n)
-        )
-        self.saturation = tuple(
-            max(1, max(self._mu[i][j] for j in range(n))) for i in range(n)
-        )
+        self._mu_tables: Optional[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = None
         self._subq_cache: dict[int, frozenset[int]] = {}
         self._closure_memo: dict = {}
         self._opposite: Optional["Catalog"] = None
@@ -140,7 +144,12 @@ class Catalog:
         return self._hom_bases[(i, j)]
 
     def mu_bound(self, i: int, j: int) -> int:
-        return self._mu[i][j]
+        return self._mu_and_saturation()[0][i][j]
+
+    @property
+    def saturation(self) -> tuple[int, ...]:
+        """Per indecomposable, the largest mu bound into any catalog member (at least 1)."""
+        return self._mu_and_saturation()[1]
 
     def rep_of(self, mid: ModuleId) -> Rep:
         """Assembled direct sum of the multiset, memoized."""
@@ -352,11 +361,10 @@ class Catalog:
         return self.identify(sub_to_rep(s)[0])
 
     def _identify_uncached(self, m: Rep, prof: tuple[int, ...]) -> ModuleId:
-        if self._hinv is not None:
-            mults = _apply_rational(self._hinv, prof)
+        if self._inverse is not None:
+            mults = _apply_inverse(*self._inverse, prof)
             if mults is not None and all(x >= 0 for x in mults):
-                counts = {k: int(x) for k, x in enumerate(mults) if x}
-                mid = mid_from_counts(counts)
+                mid = mid_from_counts({k: x for k, x in enumerate(mults) if x})
                 if self.dims_of(mid) == m.dims:
                     if self.complete:
                         return mid
@@ -407,6 +415,19 @@ class Catalog:
         return self._subq_cache[i]
 
     # -- source multiplicity reduction bounds -------------------------------------------
+
+    def _mu_and_saturation(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The mu table and the saturation, built on first use by the kernel search.
+
+        Concurrent first callers may each build them; both are pure functions
+        of the catalog, and one assignment publishes the pair.
+        """
+        if self._mu_tables is None:
+            n = self.n
+            mu = tuple(tuple(self._mu_bound(i, j) for j in range(n)) for i in range(n))
+            saturation = tuple(max(1, max(row)) for row in mu)
+            self._mu_tables = (mu, saturation)
+        return self._mu_tables
 
     def _mu_bound(self, i: int, j: int) -> int:
         """How many copies of indec_i a morphism into indec_j can need.
@@ -573,8 +594,8 @@ def is_brick(m: Rep, cap: int = END_ENUM_CAP) -> bool:
     return True
 
 
-def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[list[list[Fraction]]]:
-    """Exact inverse of an integer matrix, or None when singular."""
+def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """(A, D) with A = D * rows^-1 integral for the least positive D; None when singular."""
     n = len(rows)
     aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
@@ -591,17 +612,18 @@ def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[list[list[
                 c = aug[i][col]
                 aug[i] = [x - c * y for x, y in zip(aug[i], aug[r])]
         r += 1
-    return [row[n:] for row in aug]
+    d = lcm(*(x.denominator for row in aug for x in row[n:]))
+    return [[int(x * d) for x in row[n:]] for row in aug], d
 
 
-def _apply_rational(hinv: list[list[Fraction]], vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """hinv @ vec when the result is a tuple of integers, else None."""
+def _apply_inverse(a: Sequence[Sequence[int]], d: int, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """(a @ vec) / d when every entry is an integer, else None."""
     out = []
-    for row in hinv:
-        val = sum(c * v for c, v in zip(row, vec))
-        if val.denominator != 1:
+    for row in a:
+        q, rem = divmod(sum(map(mul, row, vec)), d)
+        if rem:
             return None
-        out.append(int(val))
+        out.append(q)
     return tuple(out)
 
 

@@ -431,13 +431,12 @@ def quotient(ambient: Rep, s: SubRep) -> tuple[Rep, Morphism]:
         for j in range(ambient.dims[v]):
             unit = pack_row(p, [1 if t == j else 0 for t in range(ambient.dims[v])])
             reduced = sp.reduce(unit)
-            ent = reduced if p != 2 else None
             if p == 2:
                 rows.append([(reduced >> c) & 1 for c in nonpiv])
             else:
-                rows.append([ent[c] for c in nonpiv])
-        cols = rows  # rows[j] is the image of e_j; proj matrix is its transpose
-        proj = Mat.from_rows(p, [[cols[j][i] for j in range(ambient.dims[v])] for i in range(len(nonpiv))],
+                rows.append([reduced[c] for c in nonpiv])
+        # rows[j] is the image of e_j; the projection matrix is its transpose
+        proj = Mat.from_rows(p, [[rows[j][i] for j in range(ambient.dims[v])] for i in range(len(nonpiv))],
                              ncols=ambient.dims[v])
         projs.append(proj)
     mats = []

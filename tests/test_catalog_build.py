@@ -1,0 +1,152 @@
+"""Catalog build internals: the integer profile decoder and the lazily built mu bounds."""
+
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subcat.catalog import _apply_inverse, _invert_over_rationals, build_builtin
+from subcat.closures import SubcatBits
+from subcat.lattices import KINDS, CheckConfig, enumerate_family, is_closed
+
+# -- the integer decoder against a Fraction reference ------------------------------------
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan over Fraction: the inverse of an integer matrix, or None when singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                c = aug[i][col]
+                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def reference_decode(inv, vec):
+    """inv @ vec as a tuple of ints, or None when some entry is not an integer."""
+    out = [sum(c * v for c, v in zip(row, vec)) for row in inv]
+    if any(x.denominator != 1 for x in out):
+        return None
+    return tuple(int(x) for x in out)
+
+
+@cache
+def hom_matrix(descriptor):
+    return build_builtin(descriptor).hom_dims
+
+
+orientation = st.integers(3, 5).flatmap(
+    lambda n: st.text(alphabet="<>", min_size=n - 1, max_size=n - 1).map(lambda w: f"an:{n}:{w}")
+)
+uniserial = st.integers(3, 5).map(lambda n: f"uniserial:{n}")
+HAND_MADE = ((2, 1), (0, 3))
+
+
+def assert_decoder_matches(rows, vec):
+    inverse = _invert_over_rationals(rows)
+    ref = reference_inverse(rows)
+    assert (inverse is None) == (ref is None)
+    if inverse is None:
+        return
+    a, d = inverse
+    assert d >= 1
+    assert _apply_inverse(a, d, vec) == reference_decode(ref, vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(orientation, uniserial), st.data())
+def test_decoder_matches_fraction_reference_on_hom_matrices(descriptor, data):
+    rows = hom_matrix(descriptor)
+    vec = data.draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
+    assert_decoder_matches(rows, vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=2))
+def test_decoder_divisibility_branch(vec):
+    a, d = _invert_over_rationals(HAND_MADE)
+    assert d == 6
+    assert_decoder_matches(HAND_MADE, vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(-10, 10), min_size=n, max_size=n),
+)))
+def test_decoder_on_random_integer_matrices(case):
+    rows, vec = case
+    assert_decoder_matches(rows, vec)
+
+
+def test_decoder_rejects_exactly_the_non_integral():
+    a, d = _invert_over_rationals(HAND_MADE)
+    # H^-1 = [[1/2, -1/6], [0, 1/3]]
+    assert _apply_inverse(a, d, (2, 0)) == (1, 0)
+    assert _apply_inverse(a, d, (1, 0)) is None
+    assert _apply_inverse(a, d, (3, 3)) == (1, 1)
+    assert _apply_inverse(a, d, (3, 2)) is None
+
+
+# -- lazy mu bounds ----------------------------------------------------------------------
+
+# Recorded from the eager build (every mu bound computed in Catalog.__init__).
+PINNED_MU = {
+    "uniserial:4": ((1,) * 4,) * 4,
+    "uniserial:5": ((1,) * 5,) * 5,
+    "an:4:<><": (
+        (1, 1, 1, 1, 0, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 1, 0, 0, 0, 0, 0),
+        (0, 1, 1, 1, 1, 1, 1, 0, 0, 0),
+        (0, 1, 0, 1, 1, 0, 1, 0, 0, 1),
+        (0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 1, 1, 1, 0, 0, 0),
+        (0, 0, 0, 0, 1, 0, 1, 0, 0, 1),
+        (0, 0, 1, 1, 0, 1, 1, 1, 1, 0),
+        (0, 0, 0, 1, 0, 0, 1, 0, 1, 1),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    ),
+}
+PINNED_SATURATION = {
+    "uniserial:4": (1,) * 4,
+    "uniserial:5": (1,) * 5,
+    "an:4:<><": (1,) * 10,
+}
+
+
+def test_enumeration_never_builds_mu_bounds():
+    cat = build_builtin("uniserial:5")
+    assert cat._mu_tables is None
+    for kind in KINDS:
+        enumerate_family(cat, kind)
+    assert cat._mu_tables is None
+
+
+@pytest.mark.parametrize("descriptor", sorted(PINNED_MU))
+def test_kernel_search_builds_pinned_mu_bounds(descriptor):
+    cat = build_builtin(descriptor)
+    assert cat._mu_tables is None
+    # small caps keep the search short; its first kernel step builds the whole table
+    is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1), CheckConfig(mult_cap=1, dim_cap=4))
+    assert cat._mu_tables is not None
+    n = cat.n
+    assert tuple(tuple(cat.mu_bound(i, j) for j in range(n)) for i in range(n)) == PINNED_MU[descriptor]
+    assert cat.saturation == PINNED_SATURATION[descriptor]
+
+
+def test_concurrent_first_reads_agree():
+    cat = build_builtin("uniserial:5")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        sats = [f.result(timeout=60) for f in [pool.submit(lambda: cat.saturation) for _ in range(4)]]
+    assert sats == [PINNED_SATURATION["uniserial:5"]] * 4
