@@ -361,16 +361,26 @@ class Catalog:
         return self.identify(sub_to_rep(s)[0])
 
     def _identify_uncached(self, m: Rep, prof: tuple[int, ...]) -> ModuleId:
-        if self._inverse is not None:
-            mults = _apply_inverse(*self._inverse, prof)
-            if mults is not None and all(x >= 0 for x in mults):
-                mid = mid_from_counts({k: x for k, x in enumerate(mults) if x})
-                if self.dims_of(mid) == m.dims:
-                    if self.complete:
-                        return mid
-                    if is_isomorphic(m, self.rep_of(mid), ISO_SEARCH_CAP):
-                        return mid
+        mid = self._decode(m.dims, prof)
+        if mid is not None and (
+            self.complete or is_isomorphic(m, self.rep_of(mid), ISO_SEARCH_CAP)
+        ):
+            return mid
         return self._identify_by_splitting(m)
+
+    def _decode(self, dims: tuple[int, ...], prof: tuple[int, ...]) -> Optional[ModuleId]:
+        """The multiset with this Hom profile and dimension vector, or None if none decodes.
+
+        On a complete catalog the profile fixes the class; otherwise the
+        answer is only a candidate for an isomorphism check.
+        """
+        if self._inverse is None:
+            return None
+        mults = _apply_inverse(*self._inverse, prof)
+        if mults is None or any(x < 0 for x in mults):
+            return None
+        mid = mid_from_counts({k: x for k, x in enumerate(mults) if x})
+        return mid if self.dims_of(mid) == dims else None
 
     def _identify_by_splitting(self, m: Rep) -> ModuleId:
         """Recursive idempotent splitting, then matching each indec summand."""

@@ -44,6 +44,13 @@ condition:
   sums.  Sources are seeded within the configured caps; absence of
   violations beyond every finite search is not decidable here, which the
   cap-robustness checks document.
+  No kernel module is built on a complete catalog: Hom(X, -) is left
+  exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
+  the dimension vector is dim source_x - rank(v_x).  Both ranks come from a
+  per-catalog table of compositions of the Hom bases (``_pair_images``),
+  and (dimension vector, Hom profile) decodes to the class.  A catalog not
+  marked complete builds each distinct kernel and identifies it with that
+  profile, so a summand outside the catalog still raises UnknownModule.
 * cokernels: the kernel search on the opposite catalog.
 
 serre, tors, torf and ie are decided exactly through the chain closure
@@ -53,8 +60,8 @@ operators and need none of the above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Iterable, Optional
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterable, Optional, Sequence
 
 from .catalog import Catalog, ModuleId, is_brick, mid_add, mid_counts, mid_from_counts
 from .closures import (
@@ -66,7 +73,8 @@ from .closures import (
     tors_closure,
 )
 from .errors import CapExceeded, ShapeError
-from .rep import hom_basis, kernel, morphism_from_coeffs
+from .linalg import pack_row
+from .rep import direct_sum, flat_entries, kernel, morphism_from_coeffs, sub_to_rep
 
 KINDS = ("serre", "tors", "torf", "wide", "ice", "ike", "ie")
 
@@ -134,6 +142,192 @@ def _image_violation(s: SubcatBits) -> Optional[str]:
     return None
 
 
+def _pivot_rows(p: int, vectors: Iterable) -> dict:
+    """Echelon rows of the span of packed vectors, keyed by pivot column.
+
+    Over F_2 a vector is an int bitmask and its pivot is the top bit (an xor
+    basis); otherwise a tuple of residues, pivot its first nonzero entry,
+    scaled to 1.
+    """
+    piv: dict = {}
+    for v in vectors:
+        if p == 2:
+            while v:
+                t = v.bit_length() - 1
+                if t not in piv:
+                    piv[t] = v
+                    break
+                v ^= piv[t]
+            continue
+        while True:
+            t = next((j for j, e in enumerate(v) if e), None)
+            if t is None:
+                break
+            if t not in piv:
+                inv = pow(v[t], p - 2, p)
+                piv[t] = tuple(e * inv % p for e in v)
+                break
+            c = v[t]
+            v = tuple((a - c * b) % p for a, b in zip(v, piv[t]))
+    return piv
+
+
+def _canonical_span(p: int, vectors: Iterable) -> tuple:
+    """The reduced echelon basis of the span, so equal spans give equal tuples."""
+    piv = _pivot_rows(p, vectors)
+    for t in sorted(piv, reverse=p != 2):
+        row = piv[t]
+        for s in piv:
+            if p == 2 and s < t and (row >> s) & 1:
+                row ^= piv[s]
+            elif p != 2 and s > t and row[s]:
+                c = row[s]
+                row = tuple((a - c * b) % p for a, b in zip(row, piv[s]))
+        piv[t] = row
+    return tuple(piv[t] for t in sorted(piv))
+
+
+def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
+    """The linear combination of packed vectors with these coefficients."""
+    if p == 2:
+        acc = 0
+        for c, v in zip(coeffs, vectors):
+            if c:
+                acc ^= v
+        return acc
+    return tuple(sum(c * v[e] for c, v in zip(coeffs, vectors)) % p
+                 for e in range(len(vectors[0])))
+
+
+def _image(p: int, table: tuple, coeffs: Sequence[int]) -> tuple:
+    """Per probe, the canonical span of the images of g∘- for g = sum c_t g_t.
+
+    ``table`` is a pair's composition table (see _pair_images): per probe,
+    one row per generator of Hom(probe, X_i), holding its images under the
+    basis g_t of Hom(X_i, X_j).
+    """
+    if not any(coeffs):
+        return tuple(() for _ in table)
+    return tuple(_canonical_span(p, [_combine(p, coeffs, gen) for gen in probe])
+                 for probe in table)
+
+
+def _pair_images(cat: Catalog, i: int, j: int) -> tuple[tuple, tuple]:
+    """The composition table of Hom(X_i, X_j) and its distinct images, built on first use.
+
+    The probes are the vertices x, then the catalog members X_k.  At vertex
+    x the generators are the basis vectors of (X_i)_x, mapped to the columns
+    of g_t at x; at member k they are the basis f of Hom(X_k, X_i), mapped to
+    the packed entries of g_t∘f in Hom(X_k, X_j).  The images come with the
+    zero image first, one per distinct span tuple over all g in Hom(X_i, X_j).
+    """
+    memo = cat._closure_memo.setdefault("pair_images", {})
+    if (i, j) not in memo:
+        p = cat.algebra.p
+        gs = cat.hom_pair_basis(i, j)
+        columns = [[c.transpose().rows for c in g.comps] for g in gs]
+        table = tuple(
+            tuple(tuple(cols[x][e] for cols in columns) for e in range(d))
+            for x, d in enumerate(cat.indecs[i].dims)
+        ) + tuple(
+            tuple(tuple(pack_row(p, flat_entries(g.compose(f))) for g in gs)
+                  for f in cat.hom_pair_basis(k, i))
+            for k in range(cat.n)
+        )
+        images = {_image(p, table, c): None for c in product(range(p), repeat=len(gs))}
+        memo[(i, j)] = (table, tuple(images))
+    return memo[(i, j)]
+
+
+def _kernel_sizes(p: int, sizes: Sequence[int], images: Sequence[tuple]) -> tuple[int, ...]:
+    """dim Hom(probe, ker v) per probe, by left exactness of Hom(probe, -).
+
+    Hom(probe, core) has dimension ``sizes``; v∘- maps it onto the sum of
+    the summands' images.  At vertex probes this is dims(ker v).
+    """
+    return tuple(size - len(_pivot_rows(p, [vec for img in images for vec in img[q]]))
+                 for q, size in enumerate(sizes))
+
+
+def _core_sizes(cat: Catalog, tables: Sequence[tuple]) -> list[int]:
+    """dim Hom(probe, core) per probe: the generator counts of the summands' tables."""
+    return [sum(len(t[q]) for t in tables) for q in range(cat.algebra.n_vertices + cat.n)]
+
+
+def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
+    """Kernel classes of all nonzero morphisms from the sum ``core`` into indec b.
+
+    Hom(core, X_b) is the sum of Hom(X_i, X_b) over the summands, so
+    v = (g_s) and the image of v∘- on Hom(probe, core) is the sum of the
+    images of the g_s∘-.  Those ranks give each kernel's dimension vector and
+    Hom profile, which fix its class on a complete catalog; only distinct
+    image spans per summand need visiting, and equal summands in any order.
+    """
+    p = cat.algebra.p
+    dim = sum(cat.hom_dims[i][b] for i in core)
+    if p ** dim > KERNEL_ENUM_CAP:
+        raise CapExceeded(
+            f"Hom({_mid_label(cat, core)}, {cat.names[b]}) of dimension "
+            f"{dim} exceeds the kernel search budget"
+        )
+    if not cat.complete:
+        return _materialized_kernel_classes(cat, core, b)
+    tables = [_pair_images(cat, i, b)[0] for i in core]
+    sizes = _core_sizes(cat, tables)
+    picks = product(*(
+        combinations_with_replacement(_pair_images(cat, i, b)[1], m)
+        for i, m in mid_counts(core).items()
+    ))
+    found = set()
+    for pick in picks:
+        images = [img for group in pick for img in group]
+        if any(any(img) for img in images):
+            found.add(_kernel_sizes(p, sizes, images))
+    nv = cat.algebra.n_vertices
+    classes = set()
+    for found_sizes in found:
+        key = (found_sizes[:nv], found_sizes[nv:])
+        if key not in cat._id_cache:
+            mid = cat._decode(*key)
+            if mid is None:
+                return _materialized_kernel_classes(cat, core, b)
+            cat._id_cache[key] = mid
+        classes.add(cat._id_cache[key])
+    return frozenset(classes)
+
+
+def _materialized_kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
+    """Build each distinct kernel and identify it, given its rank-computed profile.
+
+    For catalogs not marked complete, where the profile does not fix the
+    class and a summand outside the catalog must raise UnknownModule.
+    """
+    p = cat.algebra.p
+    parts = direct_sum(cat.algebra, [cat.indecs[i] for i in core])
+    gs = [cat.hom_pair_basis(i, b) for i in core]
+    basis = [g.compose(proj) for proj, slot in zip(parts.projections, gs) for g in slot]
+    tables = [_pair_images(cat, i, b)[0] for i in core]
+    sizes = _core_sizes(cat, tables)
+    kernels: dict = {}
+    for coeffs in product(range(p), repeat=len(basis)):
+        if any(coeffs):
+            ker = kernel(morphism_from_coeffs(basis, coeffs, parts.rep, cat.indecs[b]))
+            kernels.setdefault(ker.key(), (ker, coeffs))
+    nv = cat.algebra.n_vertices
+    classes = set()
+    for ker, coeffs in kernels.values():
+        if ker.total_dim == 0:
+            classes.add(())
+            continue
+        images, start = [], 0
+        for table, slot in zip(tables, gs):
+            images.append(_image(p, table, coeffs[start:start + len(slot)]))
+            start += len(slot)
+        prof = _kernel_sizes(p, sizes, images)[nv:]
+        classes.add(cat._identify_uncached(sub_to_rep(ker)[0], prof))
+    return frozenset(classes)
+
+
 def _kerstep(cat: Catalog, state: ModuleId, b: int) -> frozenset:
     """Kernel classes of all morphisms from (the core of) state into indec b.
 
@@ -154,23 +348,7 @@ def _kerstep(cat: Catalog, state: ModuleId, b: int) -> frozenset:
     memo = cat._closure_memo.setdefault("kerstep", {})
     key = (core, b)
     if key not in memo:
-        p = cat.algebra.p
-        src = cat.rep_of(core)
-        tgt = cat.indecs[b]
-        basis = hom_basis(src, tgt)
-        if p ** len(basis) > KERNEL_ENUM_CAP:
-            raise CapExceeded(
-                f"Hom({_mid_label(cat, core)}, {cat.names[b]}) of dimension "
-                f"{len(basis)} exceeds the kernel search budget"
-            )
-        kernels = {}
-        for coeffs in product(range(p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            v = morphism_from_coeffs(basis, coeffs, src, tgt)
-            ker = kernel(v)
-            kernels.setdefault(ker.key(), ker)
-        memo[key] = frozenset(cat.identify_sub(k) for k in kernels.values())
+        memo[key] = _kernel_classes(cat, core, b)
     surplus = {i: m - core_counts.get(i, 0) for i, m in counts.items()}
     surplus_mid = mid_from_counts({i: m for i, m in surplus.items() if m})
     result = frozenset(mid_add(kid, surplus_mid) for kid in memo[key])
@@ -269,7 +447,7 @@ def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Op
         while frontier and hit is None:
             state = frontier.pop()
             for b in targets:
-                for kid in _kerstep(cat, state, b):
+                for kid in sorted(_kerstep(cat, state, b)):
                     bad = [k for k in sorted(set(kid)) if not s.has(k)]
                     if bad:
                         hit = (state, b, kid)
@@ -304,6 +482,9 @@ def _cokernel_violation(s: SubcatBits, cfg: CheckConfig) -> Optional[str]:
 # -- is_closed ------------------------------------------------------------------------
 
 
+_CLOSURES = {"serre": serre_closure, "tors": tors_closure, "torf": torf_closure}
+
+
 def is_closed(kind: str, s: SubcatBits, cfg: Optional[CheckConfig] = None) -> tuple[bool, Optional[str]]:
     """Is the subcategory closed for the given kind; if not, why not.
 
@@ -314,18 +495,8 @@ def is_closed(kind: str, s: SubcatBits, cfg: Optional[CheckConfig] = None) -> tu
     cfg = cfg or CheckConfig()
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
-    if kind == "serre":
-        closed = serre_closure(s)
-        if closed.bits != s.bits:
-            return False, f"closure adds {_added_names(s, closed)}"
-        return True, None
-    if kind == "tors":
-        closed = tors_closure(s)
-        if closed.bits != s.bits:
-            return False, f"closure adds {_added_names(s, closed)}"
-        return True, None
-    if kind == "torf":
-        closed = torf_closure(s)
+    if kind in _CLOSURES:
+        closed = _CLOSURES[kind](s)
         if closed.bits != s.bits:
             return False, f"closure adds {_added_names(s, closed)}"
         return True, None
@@ -396,8 +567,7 @@ def _sorted_members(cat: Catalog, bitsets: Iterable[int]) -> tuple[SubcatBits, .
 
 
 def _closure_operator(kind: str, cat: Catalog) -> Callable[[int], int]:
-    ops = {"serre": serre_closure, "tors": tors_closure, "torf": torf_closure}
-    op = ops[kind]
+    op = _CLOSURES[kind]
     return lambda bits: op(SubcatBits(cat, bits)).bits
 
 

@@ -356,7 +356,8 @@ def morphism_from_coeffs(basis: Sequence[Morphism], coeffs: Sequence[int],
     return Morphism(source, target, tuple(comps))
 
 
-def _flat_entries(f: Morphism) -> list[int]:
+def flat_entries(f: Morphism) -> list[int]:
+    """The entries of a morphism, vertex by vertex, row by row."""
     out = []
     for c in f.comps:
         for r in range(c.nrows):
@@ -369,9 +370,9 @@ def morphism_coords(basis: Sequence[Morphism], f: Morphism) -> tuple[int, ...]:
     from .linalg import solve
 
     p = f.source.algebra.p
-    cols = [_flat_entries(b) for b in basis]
+    cols = [flat_entries(b) for b in basis]
     coeff_mat = Mat.from_rows(p, cols, ncols=len(cols[0]) if cols else 0).transpose()
-    rhs = Mat.from_rows(p, [[x] for x in _flat_entries(f)], ncols=1)
+    rhs = Mat.from_rows(p, [[x] for x in flat_entries(f)], ncols=1)
     sol = solve(coeff_mat, rhs)
     if sol is None:
         raise ShapeError("morphism is not in the span of the basis")

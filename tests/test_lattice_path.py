@@ -7,7 +7,7 @@ import pytest
 
 from subcat.catalog import build_builtin, is_brick, load_catalog
 from subcat.closures import SubcatBits, torf_closure, tors_closure
-from subcat.lattices import _table_closure, enumerate_family
+from subcat.lattices import KINDS, _table_closure, enumerate_family
 from subcat.linalg import Mat
 from subcat.rep import Algebra, Rep, hom_basis
 
@@ -73,14 +73,18 @@ def large_schroeder(n):
     return sum(comb(n, k) * comb(n + k, k) // (k + 1) for k in range(n + 1))
 
 
-@pytest.mark.parametrize("n,wide,schroeder", [(5, 132, 394), (6, 429, 1806)])
+@pytest.mark.parametrize("n,wide,schroeder", [(5, 132, 394), (6, 429, 1806), (7, 1430, 8558)])
 def test_published_counts(n, wide, schroeder):
+    """All seven families of linear A_n from one catalog build (an:7 has 28 indecomposables)."""
     assert comb(2 * (n + 1), n + 1) // (n + 2) == wide
     assert large_schroeder(n) == schroeder
     cat = build_builtin(f"an:{n}")
-    assert enumerate_family(cat, "wide").count == wide
-    assert enumerate_family(cat, "ice").count == schroeder
-    assert enumerate_family(cat, "ike").count == schroeder
+    families = {kind: enumerate_family(cat, kind) for kind in KINDS}
+    assert {kind: fam.count for kind, fam in families.items() if kind != "ie"} == {
+        "serre": 2 ** n, "tors": wide, "torf": wide, "wide": wide,
+        "ice": schroeder, "ike": schroeder,
+    }
+    assert families["ice"].bitsets() | families["ike"].bitsets() <= families["ie"].bitsets()
 
 
 def test_brick_with_field_extension_endomorphisms():
