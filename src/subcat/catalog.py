@@ -9,21 +9,33 @@ for injectivity on catalog members at build time.
 
 Identification decodes a Hom profile into multiplicities with an integer
 inverse of the Hom-dimension matrix, A = D * H^-1 for the least positive D,
-computed once per catalog: a profile decodes by integer dot products and a
-divisibility test by D.  The mu bounds (how many copies of an
-indecomposable a morphism into another can need) serve only the bounded
-kernel search, so they are built on its first use, not at catalog build.
+computed once per catalog by fraction-free elimination: a profile decodes by
+integer dot products and a divisibility test by D.
+
+The extension table is built in two passes.  First, per pair (i, j), one
+elimination grows the echelon rows of the coboundaries B by the cocycles Z;
+the cocycles that grow them are a basis of Ext^1(X_j, X_i) = Z/B.  Then the
+zero class is the split middle X_i + X_j, by Krull-Schmidt, and each other
+class theta has its Hom profile read off the long exact sequence:
+dim Hom(X_k, E) = h(k, i) + h(k, j) - rank of f -> [theta.f] from
+Hom(X_k, X_j) into Ext^1(X_k, X_i).  With the dimension vector, that profile
+decodes the middle on a complete catalog, so no middle term is assembled or
+solved for Hom.  A user catalog, or a failed decode, assembles the middle and
+identifies it with that profile, so a missing summand raises UnknownModule.
+
+The mu bounds (how many copies of an indecomposable a morphism into another
+can need) serve only the bounded kernel search, so they are built on its
+first use, not at catalog build.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import product
-from math import lcm
-from operator import mul
+from math import gcd
+from operator import add, mul
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -35,7 +47,17 @@ from .errors import (
     ShapeError,
     UnknownModule,
 )
-from .linalg import Mat, Subspace, nullspace, rref
+from .linalg import (
+    Mat,
+    Subspace,
+    _combine,
+    _pivot_insert,
+    _pivot_rows,
+    nullspace,
+    pack_row,
+    rref,
+    unpack_row,
+)
 from .rep import (
     Algebra,
     Morphism,
@@ -79,6 +101,15 @@ def mid_add(a: ModuleId, b: ModuleId) -> ModuleId:
     return tuple(sorted(a + b))
 
 
+class _ExtSpace(NamedTuple):
+    """Ext^1 of one catalog pair: cocycles over coboundaries, in theta coordinates."""
+
+    offs: tuple[int, ...]  # per arrow, the first theta coordinate of its block
+    total: int  # number of theta coordinates
+    coset: tuple  # packed cocycles whose classes are a basis of Z/B
+    cobound: dict  # echelon rows of the coboundaries B, keyed by pivot column
+
+
 class Catalog:
     """Immutable-after-build list of indecomposables with derived tables."""
 
@@ -117,10 +148,10 @@ class Catalog:
         self._inverse = _invert_over_rationals(self.hom_dims)
         self.simples = tuple(k for k, m in enumerate(self.indecs) if m.total_dim == 1)
         self._vertex_simple = self._map_vertex_simples()
-        self.ext_table: dict[tuple[int, int], frozenset] = {}
-        for i in range(n):
-            for j in range(n):
-                self.ext_table[(i, j)] = frozenset(self._ext_middles(i, j))
+        spaces = {(i, j): self._ext_space(i, j) for i in range(n) for j in range(n)}
+        self.ext_table: dict[tuple[int, int], frozenset] = {
+            (i, j): frozenset(self._ext_middles(i, j, spaces)) for i in range(n) for j in range(n)
+        }
         self._mu_tables: Optional[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = None
         self._subq_cache: dict[int, frozenset[int]] = {}
         self._closure_memo: dict = {}
@@ -199,13 +230,12 @@ class Catalog:
 
     # -- extension middle terms --------------------------------------------------
 
-    def _ext_middles(self, i: int, j: int, cap: int = EXT_COSET_CAP) -> set:
-        """Middle terms of all extensions with submodule indec_i and quotient indec_j.
+    def _cocycles(self, i: int, j: int) -> tuple[list[int], Mat]:
+        """Theta offsets per arrow, and the cocycles Z of the pair as an RREF basis.
 
-        The middle is parameterized on blocks [[L_a, theta_a], [0, N_a]]; the
-        relation constraints make the admissible theta a linear space, and
-        theta differing by L*s - s*N give isomorphic middles, so enumeration
-        runs over coset representatives of that coboundary subspace.
+        The middle is parameterized on blocks [[L_a, theta_a], [0, N_a]] with
+        L = indec_i and N = indec_j; the relation constraints make the
+        admissible theta a linear space.
         """
         alg = self.algebra
         p = alg.p
@@ -252,60 +282,129 @@ class Catalog:
             rows.extend(tuple(r) for r in coeff_rows)
         if rows:
             constraint = Mat.from_rows(p, [list(r) for r in rows], ncols=total)
-            cocycles = nullspace(constraint)
-        else:
-            cocycles = Mat.identity(p, total)
+            return offs, nullspace(constraint)
+        return offs, Mat.identity(p, total)
+
+    def _ext_space(self, i: int, j: int) -> _ExtSpace:
+        """Ext^1(indec_j, indec_i) = Z/B in theta coordinates, in one elimination.
+
+        The coboundaries B are the theta = L*s - s*N for s running over unit
+        matrices at each vertex.  Their echelon rows are grown by the cocycle
+        basis; the cocycles that grow them are a basis of Z/B, and B lies in Z
+        exactly when the final rank is dim Z.
+        """
+        alg = self.algebra
+        p = alg.p
+        L, N = self.indecs[i], self.indecs[j]
+        offs, cocycles = self._cocycles(i, j)
         cobound_rows = []
         for v in range(alg.n_vertices):
             for r in range(L.dims[v]):
                 for c in range(N.dims[v]):
-                    vec = [0] * total
+                    vec = [0] * cocycles.ncols
                     for a_idx, a in enumerate(alg.arrows):
                         if a.source == v:
                             for alpha in range(L.dims[a.target]):
                                 la = L.mats[a_idx].entry(alpha, r)
                                 if la:
-                                    idx = theta_index(a_idx, alpha, c)
+                                    idx = offs[a_idx] + alpha * N.dims[a.source] + c
                                     vec[idx] = (vec[idx] + la) % p
                         if a.target == v:
                             for beta in range(N.dims[a.source]):
                                 nb = N.mats[a_idx].entry(c, beta)
                                 if nb:
-                                    idx = theta_index(a_idx, r, beta)
+                                    idx = offs[a_idx] + r * N.dims[a.source] + beta
                                     vec[idx] = (vec[idx] - nb) % p
-                    cobound_rows.append(vec)
-        cobound = Subspace.span(p, total, cobound_rows) if cobound_rows else Subspace.zero(p, total)
-        zspace = Subspace.from_matrix_rows(cocycles)
-        if not zspace.contains(cobound):
+                    cobound_rows.append(pack_row(p, vec))
+        cobound = _pivot_rows(p, cobound_rows)
+        piv = dict(cobound)
+        coset = tuple(z for z in cocycles.rows if _pivot_insert(p, piv, z))
+        if len(piv) != cocycles.nrows:
             raise CatalogError("coboundaries escaped the cocycle space")
-        coset_basis = []
-        span = cobound
-        for r in range(zspace.dim):
-            cand = Subspace.from_matrix_rows(Mat(p, 1, total, (zspace.basis.rows[r],)))
-            grown = span.add(cand)
-            if grown.dim > span.dim:
-                coset_basis.append(zspace.basis.rows[r])
-                span = grown
-        if len(coset_basis) > cap:
+        if len(coset) > EXT_COSET_CAP:
             raise CapExceeded(
-                f"extension space of dimension {len(coset_basis)} exceeds cap {cap}"
+                f"extension space of dimension {len(coset)} exceeds cap {EXT_COSET_CAP}"
             )
-        middles = set()
-        for coeffs in product(range(p), repeat=len(coset_basis)):
-            theta = [0] * total if p != 2 else 0
-            if p == 2:
-                for cf, row in zip(coeffs, coset_basis):
-                    if cf:
-                        theta ^= row
-                entries = [(theta >> t) & 1 for t in range(total)]
-            else:
-                acc = [0] * total
-                for cf, row in zip(coeffs, coset_basis):
-                    if cf:
-                        acc = [(x + cf * y) % p for x, y in zip(acc, row)]
-                entries = acc
-            middles.add(self.identify(self._assemble_extension(L, N, entries, offs)))
+        return _ExtSpace(tuple(offs), cocycles.ncols, coset, cobound)
+
+    def _ext_middles(self, i: int, j: int, spaces: dict) -> set:
+        """Middle terms of all extensions with submodule indec_i and quotient indec_j.
+
+        theta differing by a coboundary give isomorphic middles, so theta runs
+        over combinations of the coset basis of ``spaces[(i, j)]``.  The zero
+        combination is the split extension, indec_i + indec_j.  Every other
+        middle is decoded from its dimension vector and its Hom profile, read
+        off the long exact sequence (_middle_profiles).  Only a catalog not
+        marked complete, or a failed decode, assembles the middle and
+        identifies it with that profile.
+        """
+        middles = {tuple(sorted((i, j)))}
+        p = self.algebra.p
+        space = spaces[(i, j)]
+        L, N = self.indecs[i], self.indecs[j]
+        dims = tuple(map(add, L.dims, N.dims))
+        for theta, prof in self._middle_profiles(i, j, spaces):
+            key = (dims, prof)
+            mid = self._id_cache.get(key)
+            if mid is None and self.complete:
+                mid = self._decode(dims, prof)
+            if mid is None:
+                m = self._assemble_extension(L, N, unpack_row(p, theta, space.total), space.offs)
+                mid = self._identify_uncached(m, prof)
+            if self.complete:
+                self._id_cache[key] = mid
+            middles.add(mid)
         return middles
+
+    def _middle_profiles(self, i: int, j: int, spaces: dict):
+        """(packed theta, Hom profile of its middle E) for each non-split coset combination.
+
+        Hom(X_k, -) on 0 -> X_i -> E -> X_j -> 0 gives dim Hom(X_k, E) =
+        h(k, i) + h(k, j) - rank delta, where delta sends f in Hom(X_k, X_j) to
+        the class of theta.f (theta_a f_s(a) on each arrow a) in Ext^1(X_k, X_i),
+        the Z/B of the pair (i, k).  delta vanishes unless both spaces are
+        nonzero.  theta.f is linear in theta, so it is pulled back once per
+        coset basis row.
+        """
+        p = self.algebra.p
+        coset = spaces[(i, j)].coset
+        if not coset:
+            return
+        h = self.hom_dims
+        base = [h[k][i] + h[k][j] for k in range(self.n)]
+        pulled = {
+            k: [[self._pull_back(z, i, j, k, f, spaces) for z in coset]
+                for f in self.hom_pair_basis(k, j)]
+            for k in range(self.n)
+            if h[k][j] and spaces[(i, k)].coset
+        }
+        for coeffs in product(range(p), repeat=len(coset)):
+            if not any(coeffs):
+                continue
+            prof = list(base)
+            for k, rows in pulled.items():
+                piv = dict(spaces[(i, k)].cobound)
+                prof[k] -= sum(_pivot_insert(p, piv, _combine(p, coeffs, row)) for row in rows)
+            yield _combine(p, coeffs, coset), tuple(prof)
+
+    def _pull_back(self, theta, i: int, j: int, k: int, f: Morphism, spaces: dict):
+        """theta.f for f: X_k -> X_j, packed in the theta coordinates of the pair (i, k)."""
+        alg = self.algebra
+        p = alg.p
+        src, dst = spaces[(i, j)], spaces[(i, k)]
+        lt_dims, ns_dims, ks_dims = self.indecs[i].dims, self.indecs[j].dims, self.indecs[k].dims
+        entries = unpack_row(p, theta, src.total)
+        out = [0] * dst.total
+        for a_idx, a in enumerate(alg.arrows):
+            ns, ks = ns_dims[a.source], ks_dims[a.source]
+            fs = f.comps[a.source].to_lists()
+            for r in range(lt_dims[a.target]):
+                row = entries[src.offs[a_idx] + r * ns : src.offs[a_idx] + (r + 1) * ns]
+                for c in range(ks):
+                    out[dst.offs[a_idx] + r * ks + c] = sum(
+                        x * fs[e][c] for e, x in enumerate(row)
+                    ) % p
+        return pack_row(p, out)
 
     def _assemble_extension(self, L: Rep, N: Rep, theta_entries: Sequence[int],
                             offs: Sequence[int]) -> Rep:
@@ -605,25 +704,30 @@ def is_brick(m: Rep, cap: int = END_ENUM_CAP) -> bool:
 
 
 def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
-    """(A, D) with A = D * rows^-1 integral for the least positive D; None when singular."""
+    """(A, D) with A = D * rows^-1 integral for the least positive D; None when singular.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [rows | I]: each step's division
+    by the previous pivot is exact, and the end state is [d*I | d*rows^-1]
+    with d = +-det.  Then D = |d| / gcd(d, entries of d*rows^-1).
+    """
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    r = 0
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    d = 1
     for col in range(n):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
             return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col]
+        pk = top[col]
         for i in range(n):
-            if i != r and aug[i][col] != 0:
+            if i != col:
                 c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    d = lcm(*(x.denominator for row in aug for x in row[n:]))
-    return [[int(x * d) for x in row[n:]] for row in aug], d
+                aug[i] = [(pk * x - c * y) // d for x, y in zip(aug[i], top)]
+        d = pk
+    g = gcd(d, *(x for row in aug for x in row[n:]))
+    sign = 1 if d > 0 else -1
+    return [[sign * x // g for x in row[n:]] for row in aug], abs(d) // g
 
 
 def _apply_inverse(a: Sequence[Sequence[int]], d: int, vec: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -73,7 +73,7 @@ from .closures import (
     tors_closure,
 )
 from .errors import CapExceeded, ShapeError
-from .linalg import pack_row
+from .linalg import _combine, _pivot_rows, pack_row
 from .rep import direct_sum, flat_entries, kernel, morphism_from_coeffs, sub_to_rep
 
 KINDS = ("serre", "tors", "torf", "wide", "ice", "ike", "ie")
@@ -142,36 +142,6 @@ def _image_violation(s: SubcatBits) -> Optional[str]:
     return None
 
 
-def _pivot_rows(p: int, vectors: Iterable) -> dict:
-    """Echelon rows of the span of packed vectors, keyed by pivot column.
-
-    Over F_2 a vector is an int bitmask and its pivot is the top bit (an xor
-    basis); otherwise a tuple of residues, pivot its first nonzero entry,
-    scaled to 1.
-    """
-    piv: dict = {}
-    for v in vectors:
-        if p == 2:
-            while v:
-                t = v.bit_length() - 1
-                if t not in piv:
-                    piv[t] = v
-                    break
-                v ^= piv[t]
-            continue
-        while True:
-            t = next((j for j, e in enumerate(v) if e), None)
-            if t is None:
-                break
-            if t not in piv:
-                inv = pow(v[t], p - 2, p)
-                piv[t] = tuple(e * inv % p for e in v)
-                break
-            c = v[t]
-            v = tuple((a - c * b) % p for a, b in zip(v, piv[t]))
-    return piv
-
-
 def _canonical_span(p: int, vectors: Iterable) -> tuple:
     """The reduced echelon basis of the span, so equal spans give equal tuples."""
     piv = _pivot_rows(p, vectors)
@@ -185,18 +155,6 @@ def _canonical_span(p: int, vectors: Iterable) -> tuple:
                 row = tuple((a - c * b) % p for a, b in zip(row, piv[s]))
         piv[t] = row
     return tuple(piv[t] for t in sorted(piv))
-
-
-def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
-    """The linear combination of packed vectors with these coefficients."""
-    if p == 2:
-        acc = 0
-        for c, v in zip(coeffs, vectors):
-            if c:
-                acc ^= v
-        return acc
-    return tuple(sum(c * v[e] for c, v in zip(coeffs, vectors)) % p
-                 for e in range(len(vectors[0])))
 
 
 def _image(p: int, table: tuple, coeffs: Sequence[int]) -> tuple:

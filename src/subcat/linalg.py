@@ -37,6 +37,53 @@ def unpack_row(p: int, row, ncols: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _pivot_insert(p: int, piv: dict, v) -> bool:
+    """Reduce a packed vector against echelon rows keyed by pivot column and add it.
+
+    Over F_2 a vector is an int bitmask and its pivot is the top bit (an xor
+    basis); otherwise a tuple of residues, pivot its first nonzero entry,
+    scaled to 1.  False when the vector lies in the span already.
+    """
+    if p == 2:
+        while v:
+            t = v.bit_length() - 1
+            if t not in piv:
+                piv[t] = v
+                return True
+            v ^= piv[t]
+        return False
+    while True:
+        t = next((j for j, e in enumerate(v) if e), None)
+        if t is None:
+            return False
+        if t not in piv:
+            inv = pow(v[t], p - 2, p)
+            piv[t] = tuple(e * inv % p for e in v)
+            return True
+        c = v[t]
+        v = tuple((a - c * b) % p for a, b in zip(v, piv[t]))
+
+
+def _pivot_rows(p: int, vectors: Iterable) -> dict:
+    """Echelon rows of the span of packed vectors, keyed by pivot column."""
+    piv: dict = {}
+    for v in vectors:
+        _pivot_insert(p, piv, v)
+    return piv
+
+
+def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
+    """The linear combination of packed vectors with these coefficients."""
+    if p == 2:
+        acc = 0
+        for c, v in zip(coeffs, vectors):
+            if c:
+                acc ^= v
+        return acc
+    return tuple(sum(c * v[e] for c, v in zip(coeffs, vectors)) % p
+                 for e in range(len(vectors[0])))
+
+
 @dataclass(frozen=True)
 class Mat:
     """Dense matrix over F_p with immutable, hashable storage."""

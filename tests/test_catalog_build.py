@@ -3,6 +3,7 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,36 @@ def test_decoder_divisibility_branch(vec):
 def test_decoder_on_random_integer_matrices(case):
     rows, vec = case
     assert_decoder_matches(rows, vec)
+
+
+def assert_inverse_matches(rows):
+    """(A, D) is D * rows^-1 for the least positive D, as the Fraction reference gives it."""
+    inverse, ref = _invert_over_rationals(rows), reference_inverse(rows)
+    assert (inverse is None) == (ref is None)
+    if inverse is not None:
+        a, d = inverse
+        assert d == lcm(*(x.denominator for row in ref for x in row))
+        assert [[Fraction(x, d) for x in row] for row in a] == ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_decoder_matches_fraction_reference_on_an7(data):
+    rows = hom_matrix("an:7")
+    vec = data.draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
+    assert_decoder_matches(rows, vec)
+
+
+@pytest.mark.parametrize("descriptor", ["an:7", "uniserial:6", "an:5:<><>"])
+def test_inverse_matches_fraction_reference_on_hom_matrices(descriptor):
+    assert_inverse_matches(hom_matrix(descriptor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_inverse_matches_fraction_reference_on_random_matrices(rows):
+    assert_inverse_matches(rows)
 
 
 def test_decoder_rejects_exactly_the_non_integral():

@@ -226,25 +226,73 @@ def test_modules_without_algebra(capsys):
     assert code == 2
 
 
-def test_cap_exceeded_exit_code(tmp_path, capsys):
-    """A single large module trips the isomorphism-search cap during build."""
-    (tmp_path / "algebra.json").write_text(json.dumps({
-        "field_char": 2,
-        "vertices": ["1"],
-        "arrows": [{"name": "x", "from": "1", "to": "1"}],
-        "relations": [[{"coeff": 1, "path": ["x"] * 5}]],
-    }))
+def file_catalog_args(tmp_path, algebra, modules):
+    """Write an algebra file and one file per module; the CLI arguments that load them."""
+    (tmp_path / "algebra.json").write_text(json.dumps({"field_char": 2, **algebra}))
     mods = tmp_path / "mods"
     mods.mkdir()
-    jordan5 = [[1 if c == r - 1 else 0 for c in range(5)] for r in range(5)]
-    (mods / "M5.json").write_text(json.dumps({"dims": {"1": 5}, "matrices": {"x": jordan5}}))
-    code, _, err = run(
-        capsys, "catalog",
-        "--algebra", str(tmp_path / "algebra.json"),
-        "--modules", str(mods),
-    )
+    for name, data in modules.items():
+        (mods / f"{name}.json").write_text(json.dumps(data))
+    return "--algebra", str(tmp_path / "algebra.json"), "--modules", str(mods)
+
+
+def loop_algebra(power):
+    return {
+        "vertices": ["1"],
+        "arrows": [{"name": "x", "from": "1", "to": "1"}],
+        "relations": [[{"coeff": 1, "path": ["x"] * power}]],
+    }
+
+
+def test_cap_exceeded_exit_code(tmp_path, capsys):
+    """Two large members trip the isomorphism-search cap during build.
+
+    Over x^2 = 0, comparing the 5-dimensional modules with x = 0 and with x of
+    rank 1 meets a 20-dimensional Hom space.
+    """
+    rank1 = [[1 if (r, c) == (0, 1) else 0 for c in range(5)] for r in range(5)]
+    args = file_catalog_args(tmp_path, loop_algebra(2), {
+        "Z5": {"dims": {"1": 5}},
+        "R5": {"dims": {"1": 5}, "matrices": {"x": rank1}},
+    })
+    code, _, err = run(capsys, "catalog", *args)
     assert code == 3
     assert "cap exceeded" in err
+
+
+def test_split_self_extension_needs_no_isomorphism_search(tmp_path, capsys):
+    """M5 over F_2[x]/(x^5) is projective: its one extension is split, X + X by Krull-Schmidt."""
+    jordan5 = [[1 if c == r - 1 else 0 for c in range(5)] for r in range(5)]
+    args = file_catalog_args(tmp_path, loop_algebra(5),
+                             {"M5": {"dims": {"1": 5}, "matrices": {"x": jordan5}}})
+    code, out, _ = run(capsys, "catalog", *args)
+    assert code == 0
+    assert "M5" in out
+
+
+def parallel_arrows(count):
+    return {
+        "vertices": ["1", "2"],
+        "arrows": [{"name": f"a{t}", "from": "1", "to": "2"} for t in range(count)],
+    }
+
+
+SIMPLES = {"S1": {"dims": {"1": 1}}, "S2": {"dims": {"2": 1}}}
+
+
+def test_extension_space_cap(tmp_path, capsys):
+    args = file_catalog_args(tmp_path, parallel_arrows(17), SIMPLES)
+    code, _, err = run(capsys, "catalog", *args)
+    assert code == 3
+    assert "extension space of dimension 17 exceeds cap 16" in err
+
+
+def test_extension_space_at_cap_reaches_identification(tmp_path, capsys):
+    """16 arrows pass the cap; the first non-split middle, of dimension vector (1, 1), is missing."""
+    args = file_catalog_args(tmp_path, parallel_arrows(16), SIMPLES)
+    code, _, err = run(capsys, "catalog", *args)
+    assert code == 2
+    assert err.count("\n") == 1 and "dimension vector (1, 1) is not in the catalog" in err
 
 
 def test_threads_env_byte_identical(monkeypatch, capsys):
