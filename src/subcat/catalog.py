@@ -657,12 +657,15 @@ def _path_matrix_or_identity(rep: Rep, path: Sequence[int], endpoint: int) -> Ma
 def find_nontrivial_idempotent(m: Rep, cap: int = END_ENUM_CAP) -> Optional[Morphism]:
     """A non-zero, non-identity idempotent endomorphism, if one exists.
 
-    Enumerates the endomorphism space; raises CapExceeded when p^dim End
-    exceeds the cap.
+    None at once when dim End = 1, since the only idempotents of k are 0
+    and 1.  Otherwise enumerates the endomorphism space; raises CapExceeded
+    when p^dim End exceeds the cap.
     """
     if m.total_dim == 0:
         return None
     basis = hom_basis(m, m)
+    if len(basis) == 1:
+        return None
     p = m.algebra.p
     if p ** len(basis) > cap:
         raise CapExceeded(f"End space of dimension {len(basis)} exceeds idempotent search cap")
@@ -878,12 +881,15 @@ def load_algebra(path: str | Path) -> Algebra:
     path = Path(path)
     data = _read_json(path)
     try:
-        p = int(data["field_char"])
-        vertices = [str(v) for v in data["vertices"]]
-        arrows = [(str(a["name"]), str(a["from"]), str(a["to"])) for a in data.get("arrows", [])]
+        p = _expect(data["field_char"], int, "field_char", path)
+        vertices = [str(v) for v in _expect(data["vertices"], list, "vertices", path)]
+        arrows = [(str(a["name"]), str(a["from"]), str(a["to"]))
+                  for a in _expect(data.get("arrows", []), list, "arrows", path)]
         relations = [
-            [(int(term["coeff"]), [str(x) for x in term["path"]]) for term in rel]
-            for rel in data.get("relations", [])
+            [(_expect(term["coeff"], int, "coeff", path),
+              [str(x) for x in _expect(term["path"], list, "path", path)])
+             for term in _expect(rel, list, "a relation", path)]
+            for rel in _expect(data.get("relations", []), list, "relations", path)
         ]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed algebra file ({exc})") from None
@@ -897,8 +903,8 @@ def load_module(algebra: Algebra, path: str | Path) -> Rep:
     """Parse one module from its JSON file format and reduce entries mod p."""
     path = Path(path)
     data = _read_json(path)
-    dims_map = data.get("dims", {})
-    mats_map = data.get("matrices", {})
+    dims_map = _expect(data.get("dims", {}), dict, "dims", path)
+    mats_map = _expect(data.get("matrices", {}), dict, "matrices", path)
     stray_v = set(dims_map) - set(algebra.vertices)
     if stray_v:
         raise ParseError(f"{path}: unknown vertex names {sorted(stray_v)}")
@@ -906,7 +912,8 @@ def load_module(algebra: Algebra, path: str | Path) -> Rep:
     if stray_a:
         raise ParseError(f"{path}: unknown arrow names {sorted(stray_a)}")
     try:
-        dims = tuple(int(dims_map.get(v, 0)) for v in algebra.vertices)
+        dims = tuple(_expect(dims_map.get(v, 0), int, f"the dimension at vertex {v}", path)
+                     for v in algebra.vertices)
         for v, d in zip(algebra.vertices, dims):
             if d < 0:
                 raise ParseError(f"{path}: dimension at vertex {v} is negative ({d})")
@@ -917,7 +924,8 @@ def load_module(algebra: Algebra, path: str | Path) -> Rep:
             if raw is None or raw == []:
                 mats.append(Mat.zeros(algebra.p, want_rows, want_cols))
                 continue
-            entries = [[int(x) % algebra.p for x in row] for row in raw]
+            entries = [[_expect(x, int, f"an entry for arrow {a.name}", path) % algebra.p
+                        for x in row] for row in raw]
             if len(entries) != want_rows or any(len(r) != want_cols for r in entries):
                 raise ParseError(
                     f"{path}: matrix for arrow {a.name} must be {want_rows}x{want_cols}"
@@ -950,11 +958,22 @@ def load_catalog(algebra_path: str | Path, module_paths: Sequence[str | Path]) -
 def _read_json(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    return _expect(data, dict, "the file", path)
+
+
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _expect(value, kind: type, what: str, path: Path):
+    """``value`` if it is a JSON value of that kind (a boolean is no integer), else ParseError."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{path}: {what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
 
 
 # -- operation-style wrappers -------------------------------------------------------------------

@@ -2,14 +2,28 @@
 
 Enumeration (``enumerate_family``, strategy ``auto``) is exact and derives
 every family from lattice identities over bitset tables, built lazily per
-catalog and cached on it:
+catalog and cached on it.
+
+On a catalog marked complete (it lists every indecomposable, as the
+builtins do), serre, tors and torf are read off ``hom_dims`` and the vertex
+supports alone:
+
+* tors: NextClosure (Ganter) over tors(X) = perp-(X^perp).  In a length
+  category (perp-(C^perp), C^perp) is the torsion pair generated by C, so
+  each closure is two AND passes over zero-Hom row and column masks.
+* torf: {T^perp : T a torsion class}, a bijection onto the torsion-free
+  classes.
+* serre: one member per set V of vertices, the indecomposables supported
+  in V, since a Serre subcategory is fixed by its simples.
+
+Elsewhere, and on every catalog for the other kinds:
 
 * ``Q[i]`` = tors({i}) and ``S[i]`` = torf({i}), one trace/reject chain
   closure per indecomposable, and the extension table read as bit rows.
   Extension closure of a set of indecomposables is a bitset fixpoint over
   member pairs; pair closure suffices, since an extension by direct sums
   refines into iterated extensions by summands.
-* serre: NextClosure (Ganter) over ``serre_closure``.
+* serre: NextClosure over ``serre_closure``.
 * tors, torf: NextClosure over tors(X) = Filt(union of Q[x]), since the join
   of torsion classes is Filt of their union; torf dually with ``S``.
 * wide: {Filt(B) : B a semibrick} (Ringel 1976).  A brick has a division
@@ -23,7 +37,9 @@ catalog and cached on it:
 The identities hold in the whole module category.  A user catalog that is
 not marked complete therefore builds both chain tables first, which
 identifies every trace quotient and reject of its members and raises
-UnknownModule when one is missing.
+UnknownModule when one is missing.  The chain closures also stay behind
+``closure``, ``is_closed``, strategy ``nextclosure`` and the verify oracles,
+which keeps those independent of the perps.
 
 ``is_closed`` is the independent, bounded oracle, and strategy
 ``bruteforce`` filters all 2^n subsets through it.  Its checks, per closure
@@ -60,6 +76,7 @@ operators and need none of the above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -502,6 +519,10 @@ class Family:
         return len(self.members)
 
     def bitsets(self) -> frozenset[int]:
+        return self._bitsets
+
+    @cached_property
+    def _bitsets(self) -> frozenset[int]:
         return frozenset(m.bits for m in self.members)
 
     def member_names(self) -> list[tuple[str, ...]]:
@@ -604,9 +625,38 @@ def _table_closure(cat: Catalog, kind: str, bits: int) -> int:
     return _ext_closure(_ext_rows(cat), union)
 
 
+def _perp_masks(cat: Catalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per indecomposable x: the y with Hom(x, y) = 0, and the y with Hom(y, x) = 0."""
+    memo = cat._closure_memo
+    if "perp_masks" not in memo:
+        n, h = cat.n, cat.hom_dims
+        memo["perp_masks"] = (
+            tuple(sum(1 << y for y in range(n) if not h[x][y]) for x in range(n)),
+            tuple(sum(1 << y for y in range(n) if not h[y][x]) for x in range(n)),
+        )
+    return memo["perp_masks"]
+
+
+def _perp(masks: tuple[int, ...], bits: int) -> int:
+    """AND of the masks of the set bits: X^perp with the row masks, perp-X with the columns."""
+    out = (1 << len(masks)) - 1
+    while bits:
+        low = bits & -bits
+        out &= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _perp_operator(cat: Catalog, kind: str) -> Callable[[int], int]:
+    """tors(X) = perp-(X^perp), or torf(X) = (perp-X)^perp, on a complete catalog."""
+    rows, cols = _perp_masks(cat)
+    first, second = (rows, cols) if kind == "tors" else (cols, rows)
+    return lambda bits: _perp(second, _perp(first, bits))
+
+
 def _semibricks(cat: Catalog) -> list[int]:
     """Every set of pairwise Hom-orthogonal bricks, as bitsets (the empty one too)."""
-    bricks = [k for k in range(cat.n) if is_brick(cat.indecs[k])]
+    bricks = [k for k in range(cat.n) if cat.hom_dims[k][k] == 1 or is_brick(cat.indecs[k])]
     orth = {
         i: sum(1 << j for j in bricks
                if j != i and cat.hom_dims[i][j] == 0 and cat.hom_dims[j][i] == 0)
@@ -635,7 +685,16 @@ def _lattice_bitsets(cat: Catalog, kind: str) -> frozenset[int]:
         # completeness probe: identifies every trace quotient and reject of members
         _singleton_closures(cat, "tors")
         _singleton_closures(cat, "torf")
-    if kind == "serre":
+    if cat.complete and kind == "serre":
+        support = [sum(1 << v for v, d in enumerate(m.dims) if d) for m in cat.indecs]
+        bitsets = {sum(1 << k for k, sup in enumerate(support) if not sup & ~vs)
+                   for vs in range(1 << cat.algebra.n_vertices)}
+    elif cat.complete and kind == "tors":
+        bitsets = _next_closure_enum(_perp_operator(cat, "tors"), cat.n)
+    elif cat.complete and kind == "torf":
+        rows = _perp_masks(cat)[0]
+        bitsets = [_perp(rows, t) for t in _lattice_bitsets(cat, "tors")]
+    elif kind == "serre":
         bitsets = _next_closure_enum(_closure_operator("serre", cat), cat.n)
     elif kind in ("tors", "torf"):
         bitsets = _next_closure_enum(lambda bits: _table_closure(cat, kind, bits), cat.n)

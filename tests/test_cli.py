@@ -306,3 +306,35 @@ def test_threads_env_byte_identical(monkeypatch, capsys):
                           "--format", "json")
     assert code == 0
     assert first == second
+
+
+LOOP = {"vertices": ["1"], "arrows": [{"name": "x", "from": "1", "to": "1"}]}
+S1 = {"S1": {"dims": {"1": 1}}}
+
+
+@pytest.mark.parametrize("algebra,modules,message", [
+    ({**LOOP, "relations": [[{"coeff": "x", "path": ["x", "x"]}]]}, S1,
+     'coeff must be an integer, got "x"'),
+    ({"field_char": 2.5, "vertices": ["1"]}, S1, "field_char must be an integer, got 2.5"),
+    ({"field_char": "x", "vertices": ["1"]}, S1, 'field_char must be an integer, got "x"'),
+    ({"vertices": ["1"]}, {"S1": {"dims": {"1": 1.5}}},
+     "the dimension at vertex 1 must be an integer, got 1.5"),
+    ({"vertices": ["1"]}, {"S1": {"dims": {"1": "x"}}},
+     'the dimension at vertex 1 must be an integer, got "x"'),
+    ({"vertices": "1"}, S1, 'vertices must be a list, got "1"'),
+    ({"vertices": ["1"], "arrows": "x"}, S1, 'arrows must be a list, got "x"'),
+    ({"vertices": ["1"], "relations": "x"}, S1, 'relations must be a list, got "x"'),
+    ({**LOOP, "relations": [[{"coeff": 1, "path": "xx"}]]}, S1, 'path must be a list, got "xx"'),
+])
+def test_malformed_number_or_list_is_a_parse_error(tmp_path, capsys, algebra, modules, message):
+    code, _, err = run(capsys, "catalog", *file_catalog_args(tmp_path, algebra, modules))
+    assert code == 2
+    assert err.count("\n") == 1 and message in err
+
+
+def test_large_prime_with_one_dimensional_end(tmp_path, capsys):
+    """dim End = 1 needs no idempotent search, however large the field."""
+    args = file_catalog_args(tmp_path, {"field_char": 1000003, "vertices": ["1"]}, S1)
+    code, out, _ = run(capsys, "catalog", *args)
+    assert code == 0
+    assert out.startswith("catalog algebra: 1 indecomposables over F_1000003")

@@ -1,13 +1,15 @@
 """The exact lattice path against its oracles: brute force, chain closures, published counts."""
 
 import json
+import random
 from math import comb
 
 import pytest
 
-from subcat.catalog import build_builtin, is_brick, load_catalog
-from subcat.closures import SubcatBits, torf_closure, tors_closure
-from subcat.lattices import KINDS, _table_closure, enumerate_family
+from subcat import catalog, linalg, rep
+from subcat.catalog import Catalog, build_builtin, is_brick, load_catalog
+from subcat.closures import SubcatBits, serre_closure, torf_closure, tors_closure
+from subcat.lattices import KINDS, _perp_operator, _table_closure, enumerate_family
 from subcat.linalg import Mat
 from subcat.rep import Algebra, Rep, hom_basis
 
@@ -67,6 +69,73 @@ def test_table_operator_equals_chain_closures(word):
         s = SubcatBits(cat, bits)
         assert _table_closure(cat, "tors", bits) == tors_closure(s).bits, bits
         assert _table_closure(cat, "torf", bits) == torf_closure(s).bits, bits
+
+
+def assert_perps_match_chains(cat, subsets, families=True):
+    """Perp operators and the serre support rule against the chain closures on the subsets.
+
+    With ``families``, also the perp families (torf as {T^perp}, serre as one
+    member per vertex subset) against NextClosure over the chain closures.
+    """
+    tors, torf = _perp_operator(cat, "tors"), _perp_operator(cat, "torf")
+    support = [sum(1 << v for v, d in enumerate(m.dims) if d) for m in cat.indecs]
+    for bits in subsets:
+        s = SubcatBits(cat, bits)
+        assert tors(bits) == tors_closure(s).bits, bits
+        assert torf(bits) == torf_closure(s).bits, bits
+        vs = 0
+        for k in s.indices():
+            vs |= support[k]
+        rule = sum(1 << k for k, sup in enumerate(support) if not sup & ~vs)
+        assert serre_closure(s).bits == rule, bits
+    for kind in ("serre", "tors", "torf") if families else ():
+        perp = enumerate_family(cat, kind)
+        chain = enumerate_family(cat, kind, "nextclosure")
+        assert perp.member_names() == chain.member_names(), kind
+
+
+EXHAUSTIVE = [
+    ("a2", 2), *((f"an:3:{w}", 2) for w in AN3_WORDS),
+    *((f"uniserial:{n}", 2) for n in range(2, 7)),
+    ("a2", 3), ("a3", 3), ("a2", 5), ("a3", 5), ("uniserial:4", 3), ("an:4:<><", 2),
+]
+
+
+# a3 is the builtin an:3:>>, so the four orientations cover it
+@pytest.mark.parametrize("descriptor,p", EXHAUSTIVE)
+def test_perp_operators_equal_chain_closures(descriptor, p):
+    cat = build_builtin(descriptor, p=p)
+    assert_perps_match_chains(cat, range(1 << cat.n))
+
+
+@pytest.mark.parametrize("descriptor,p", [("an:4", 3), ("an:5:><><", 2)])
+def test_perp_operators_on_seeded_subsets(descriptor, p):
+    cat = build_builtin(descriptor, p=p)
+    rng = random.Random(f"{descriptor}:{p}")
+    assert_perps_match_chains(cat, [rng.getrandbits(cat.n) for _ in range(200)], families=False)
+
+
+def test_perp_operators_on_complete_nakayama(tmp_path):
+    """Its five modules are every indecomposable of A3 with rad^2 = 0."""
+    files = nakayama_a3_rad2(tmp_path)
+    cat = Catalog(files.algebra, files.indecs, files.names, complete=True)
+    assert_perps_match_chains(cat, range(1 << cat.n))
+
+
+def test_complete_catalog_families_need_no_linear_algebra(monkeypatch):
+    """After the build, every family of a complete catalog reads the catalog's tables alone."""
+    cat = build_builtin("an:5")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear algebra on the enumeration path")
+
+    for owner, name in ((rep, "hom_dim"), (catalog, "hom_dim"), (Catalog, "identify"),
+                        (Catalog, "identify_sub"), (linalg, "rref"), (rep, "rref"),
+                        (catalog, "rref"), (rep, "hom_basis"), (catalog, "hom_basis")):
+        monkeypatch.setattr(owner, name, refuse)
+    counts = {kind: enumerate_family(cat, kind).count for kind in KINDS}
+    assert counts == {"serre": 32, "tors": 132, "torf": 132, "wide": 132,
+                      "ice": 394, "ike": 394, "ie": 1308}
 
 
 def large_schroeder(n):

@@ -135,6 +135,12 @@ def test_family_json_shape(a2):
     assert data["checker_config"] == {"mult_cap": 2, "dim_cap": 16}
 
 
+def test_family_bitsets_built_once(a2):
+    fam = enumerate_family(a2, "tors")
+    assert fam.bitsets() is fam.bitsets()
+    assert fam.bitsets() == frozenset(m.bits for m in fam.members)
+
+
 def test_threaded_enumeration_matches(a2):
     # the lattice tables are built lazily on first use and cached on the catalog;
     # several threads doing that first use at once must still agree with the oracle
