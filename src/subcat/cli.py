@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -391,6 +392,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SubcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a bug, not an input problem: one line, no traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -10,12 +10,22 @@ conversely the class of such filtered modules is itself closed under
 quotients and extensions and contains a nonzero first layer inside every
 member's trace, which forces strict descent.  The literal filtration-search
 oracle `filt_contains` stays available as an independent cross-check.
+
+What depends only on the catalog is cached on it, on first use, keyed by
+module value: each member's contribution to a trace or reject in a module,
+a chain layer's successor class, and, for the filtration search, each
+module's (dimension vector, Hom profile) key and its (layer, quotient)
+splits in `all_submodules` order.  These are the same computations the
+searches made per subset before, so the oracles keep their algorithms and
+their order of search; they still read neither the Hom-orthogonality perps
+nor the lattice tables of `lattices`, which is what keeps them independent
+of the enumeration they check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .catalog import Catalog, ModuleId, mid_counts
 from .errors import NotTorsionFree, ShapeError
@@ -24,6 +34,7 @@ from .rep import (
     Rep,
     SubRep,
     all_submodules,
+    check_submodule_cap,
     hom_basis,
     image,
     kernel,
@@ -108,21 +119,56 @@ class SubcatBits:
 # -- trace and reject ------------------------------------------------------------
 
 
+def _join(p: int, dims: Sequence[int], parts: Iterable[Sequence[Subspace]],
+          kind: str) -> tuple[Subspace, ...]:
+    """Vertexwise sum (kind tors) or intersection (kind torf) of subspace tuples."""
+    if kind == "tors":
+        spaces = [Subspace.zero(p, d) for d in dims]
+        for part in parts:
+            for v, sp in enumerate(part):
+                if sp.dim:
+                    spaces[v] = spaces[v].add(sp)
+    else:
+        spaces = [Subspace.full(p, d) for d in dims]
+        for part in parts:
+            for v, sp in enumerate(part):
+                if sp.dim < dims[v]:
+                    spaces[v] = spaces[v].intersect(sp)
+    return tuple(spaces)
+
+
+def _contribution(cat: Catalog, i: int, m: Rep, kind: str) -> tuple[Subspace, ...]:
+    """What member i adds to the trace (kind tors) or reject (kind torf) in m.
+
+    The images of all maps X_i -> m, or the common kernel of all maps
+    m -> X_i.  It depends only on (member, module), so it is memoized per
+    catalog on the module value and shared by every subcategory.
+    """
+    memo = cat._closure_memo.setdefault(("layer", kind), {})
+    key = (i, m)
+    if key not in memo:
+        if kind == "tors":
+            parts = (image(f).spaces for f in hom_basis(cat.indecs[i], m))
+        else:
+            parts = (kernel(f).spaces for f in hom_basis(m, cat.indecs[i]))
+        memo[key] = _join(cat.algebra.p, m.dims, parts, kind)
+    return memo[key]
+
+
+def _layer(c: SubcatBits, m: Rep, kind: str) -> SubRep:
+    """The trace (kind tors) or reject (kind torf) of C in m."""
+    cat = c.catalog
+    parts = (_contribution(cat, i, m, kind) for i in c.indices())
+    return SubRep(m, _join(cat.algebra.p, m.dims, parts, kind))
+
+
 def trace(c: SubcatBits, m: Rep) -> SubRep:
     """Largest submodule of m that is a quotient of a finite sum of C-objects.
 
     The image of the evaluation map: the vertexwise sum of the images of all
     basis morphisms from members of C into m.
     """
-    cat = c.catalog
-    p = cat.algebra.p
-    spaces = [Subspace.zero(p, d) for d in m.dims]
-    for i in c.indices():
-        for f in hom_basis(cat.indecs[i], m):
-            for v, im in enumerate(image(f).spaces):
-                if im.dim:
-                    spaces[v] = spaces[v].add(im)
-    return SubRep(m, tuple(spaces))
+    return _layer(c, m, "tors")
 
 
 def reject(c: SubcatBits, m: Rep) -> SubRep:
@@ -131,14 +177,7 @@ def reject(c: SubcatBits, m: Rep) -> SubRep:
     The intersection of the kernels of all basis morphisms from m into
     members of C.
     """
-    cat = c.catalog
-    p = cat.algebra.p
-    spaces = [Subspace.full(p, d) for d in m.dims]
-    for i in c.indices():
-        for f in hom_basis(m, cat.indecs[i]):
-            for v, ker in enumerate(kernel(f).spaces):
-                spaces[v] = spaces[v].intersect(ker)
-    return SubRep(m, tuple(spaces))
+    return _layer(c, m, "torf")
 
 
 def fac_contains(c: SubcatBits, x: Rep) -> bool:
@@ -186,74 +225,34 @@ class ChainCertificate:
         }
 
 
-def _member_layer(cat: Catalog, i: int, mid: ModuleId, kind: str):
-    """Contribution of one member to the trace (or reject) of a class.
-
-    Depends only on (member, class), so it is shared across all
-    subcategories; the chain step joins (or meets) these per-vertex spaces.
-    """
-    memo = cat._closure_memo.setdefault(("layer", kind), {})
-    key = (i, mid)
-    if key not in memo:
-        rep = cat.rep_of(mid)
-        p = cat.algebra.p
-        if kind == "tors":
-            spaces = [Subspace.zero(p, d) for d in rep.dims]
-            for f in hom_basis(cat.indecs[i], rep):
-                for v, im in enumerate(image(f).spaces):
-                    if im.dim:
-                        spaces[v] = spaces[v].add(im)
-        else:
-            spaces = [Subspace.full(p, d) for d in rep.dims]
-            for f in hom_basis(rep, cat.indecs[i]):
-                for v, ker in enumerate(kernel(f).spaces):
-                    spaces[v] = spaces[v].intersect(ker)
-        memo[key] = tuple(spaces)
-    return memo[key]
-
-
 def _chain_next(c: SubcatBits, mid: ModuleId, kind: str) -> tuple[tuple[int, ...], ModuleId]:
     """One chain step on an isomorphism class: (layer dims, next class)."""
     cat = c.catalog
     memo = cat._closure_memo.setdefault((kind, c.bits), {})
-    if mid in memo:
-        return memo[mid]
-    rep = cat.rep_of(mid)
-    p = cat.algebra.p
-    if kind == "tors":
-        spaces = [Subspace.zero(p, d) for d in rep.dims]
-        for i in c.indices():
-            for v, sp in enumerate(_member_layer(cat, i, mid, kind)):
-                if sp.dim:
-                    spaces[v] = spaces[v].add(sp)
-        layer = SubRep(rep, tuple(spaces))
-        nxt_rep, _ = quotient(rep, layer)
-        nxt = cat.identify(nxt_rep)
-    else:
-        spaces = [Subspace.full(p, d) for d in rep.dims]
-        for i in c.indices():
-            for v, sp in enumerate(_member_layer(cat, i, mid, kind)):
-                spaces[v] = spaces[v].intersect(sp)
-        layer = SubRep(rep, tuple(spaces))
-        nxt = cat.identify_sub(layer)
-    out = (layer.dims, nxt)
-    memo[mid] = out
-    return out
+    if mid not in memo:
+        layer = _layer(c, cat.rep_of(mid), kind)
+        successors = cat._closure_memo.setdefault(("successor", kind), {})
+        if layer not in successors:
+            successors[layer] = (
+                cat.identify(quotient(layer.ambient, layer)[0]) if kind == "tors"
+                else cat.identify_sub(layer)
+            )
+        memo[mid] = (layer.dims, successors[layer])
+    return memo[mid]
+
+
+def _stalled(cat: Catalog, mid: ModuleId, layer_dims: tuple[int, ...], kind: str) -> bool:
+    """The chain stops short of zero: an empty trace, or a reject that is everything."""
+    return sum(layer_dims) == (0 if kind == "tors" else sum(cat.dims_of(mid)))
 
 
 def _chain_member(c: SubcatBits, idx: int, kind: str) -> bool:
     mid: ModuleId = (idx,)
     while mid:
         layer_dims, nxt = _chain_next(c, mid, kind)
-        layer_total = sum(layer_dims)
-        if kind == "tors":
-            if layer_total == 0:
-                return False
-            mid = nxt
-        else:
-            if layer_total == sum(c.catalog.dims_of(mid)):
-                return False
-            mid = nxt
+        if _stalled(c.catalog, mid, layer_dims, kind):
+            return False
+        mid = nxt
     return True
 
 
@@ -267,35 +266,58 @@ def chain_certificate(c: SubcatBits, idx: int, kind: str) -> ChainCertificate:
     while mid:
         layer_dims, nxt = _chain_next(c, mid, kind)
         steps.append(ChainStep(names(mid), layer_dims))
-        stalled = (
-            sum(layer_dims) == 0 if kind == "tors" else sum(layer_dims) == sum(cat.dims_of(mid))
-        )
-        if stalled:
+        if _stalled(cat, mid, layer_dims, kind):
             member = False
             break
         mid = nxt
     return ChainCertificate(kind, (cat.names[idx],), member, tuple(steps))
 
 
-def tors_closure(c: SubcatBits) -> SubcatBits:
-    """Smallest torsion class containing C, by iterated trace quotients."""
+def _chain_closure(c: SubcatBits, kind: str) -> SubcatBits:
+    """The members whose trace (or reject) chain reaches zero."""
     bits = 0
     for k in range(c.catalog.n):
-        if _chain_member(c, k, "tors"):
+        if _chain_member(c, k, kind):
             bits |= 1 << k
     return SubcatBits(c.catalog, bits)
+
+
+def tors_closure(c: SubcatBits) -> SubcatBits:
+    """Smallest torsion class containing C, by iterated trace quotients."""
+    return _chain_closure(c, "tors")
 
 
 def torf_closure(c: SubcatBits) -> SubcatBits:
     """Smallest torsion-free class containing C, by iterated rejects."""
-    bits = 0
-    for k in range(c.catalog.n):
-        if _chain_member(c, k, "torf"):
-            bits |= 1 << k
-    return SubcatBits(c.catalog, bits)
+    return _chain_closure(c, "torf")
 
 
 # -- filtration oracle ------------------------------------------------------------------
+
+
+def _module_key(cat: Catalog, m: Rep) -> tuple:
+    """(dimension vector, Hom profile) of a module, memoized per catalog on its value."""
+    memo = cat._closure_memo.setdefault("filt_keys", {})
+    if m not in memo:
+        memo[m] = (m.dims, cat.profile(m))
+    return memo[m]
+
+
+def _splits(cat: Catalog, m: Rep, cap: int) -> list[tuple[Rep, Rep]]:
+    """(layer, quotient) per nonzero proper submodule, in all_submodules order.
+
+    Memoized per catalog on the module value; the cap is checked on every
+    call, so a cached list never bypasses a smaller cap.
+    """
+    check_submodule_cap(m, cap)
+    memo = cat._closure_memo.setdefault("filt_splits", {})
+    if m not in memo:
+        memo[m] = [
+            (sub_to_rep(s)[0], quotient(m, s)[0])
+            for s in all_submodules(m, cap)
+            if not (s.is_zero or s.is_full)
+        ]
+    return memo[m]
 
 
 def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
@@ -305,29 +327,22 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
     Literal filtration search over all submodules: true when x is zero, when
     pred(x) holds, or when some nonzero proper submodule satisfies pred and
     the quotient recursively passes.  pred must be isomorphism-invariant;
-    results are memoized on the Hom-dimension profile.
+    results are memoized per call on the (dimension vector, Hom profile)
+    key.  The keys and the submodule splits are pred-independent and cached
+    on the catalog.
     """
     if _memo is None:
         _memo = {}
     if x.total_dim == 0:
         return True
-    key = (x.dims, cat.profile(x))
+    key = _module_key(cat, x)
     if key in _memo:
         return _memo[key]
     _memo[key] = False  # cycle guard; dimensions strictly decrease anyway
-    result = False
-    if pred(x):
-        result = True
-    else:
-        for s in all_submodules(x, cap):
-            if s.is_zero or s.is_full:
-                continue
-            layer, _ = sub_to_rep(s)
-            if pred(layer):
-                rest, _ = quotient(x, s)
-                if filt_contains(cat, pred, rest, cap, _memo):
-                    result = True
-                    break
+    result = True if pred(x) else any(
+        pred(layer) and filt_contains(cat, pred, rest, cap, _memo)
+        for layer, rest in _splits(cat, x, cap)
+    )
     _memo[key] = result
     return result
 

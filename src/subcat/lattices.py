@@ -60,6 +60,11 @@ condition:
   sums.  Sources are seeded within the configured caps; absence of
   violations beyond every finite search is not decidable here, which the
   cap-robustness checks document.
+  A search state is an int with one fixed-width count field per
+  indecomposable, so the core split and the sticky cap are field-wise
+  minimums and adding the surplus back is one addition; a state becomes a
+  tuple only to print a witness.  The frontier and each step's kernel
+  classes are still visited in the order of their sorted index tuples.
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both ranks come from a
@@ -78,9 +83,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .catalog import Catalog, ModuleId, is_brick, mid_add, mid_counts, mid_from_counts
+from .catalog import Catalog, ModuleId, is_brick, mid_counts
 from .closures import (
     SubcatBits,
     fac_contains,
@@ -303,110 +308,118 @@ def _materialized_kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozen
     return frozenset(classes)
 
 
-def _kerstep(cat: Catalog, state: ModuleId, b: int) -> frozenset:
-    """Kernel classes of all morphisms from (the core of) state into indec b.
+class _Packing(NamedTuple):
+    """Multisets of catalog indices as ints, one fixed-width count field per index.
 
-    The core keeps min(mult, mu) copies per indecomposable; the remaining
-    copies land in every kernel untouched and are re-added afterwards.
+    Index k takes bits [k * width, (k + 1) * width).  The top bit of each
+    field is a guard that stays zero, so a field-wise compare never borrows
+    from the next field.
     """
-    full_memo = cat._closure_memo.setdefault("kerstep_full", {})
-    full_key = (state, b)
-    if full_key in full_memo:
-        return full_memo[full_key]
-    counts = mid_counts(state)
-    core_counts = {}
-    for i, m in counts.items():
-        mu = cat.mu_bound(i, b)
-        if mu:
-            core_counts[i] = min(m, mu)
-    core = mid_from_counts(core_counts)
-    memo = cat._closure_memo.setdefault("kerstep", {})
-    key = (core, b)
-    if key not in memo:
-        memo[key] = _kernel_classes(cat, core, b)
-    surplus = {i: m - core_counts.get(i, 0) for i, m in counts.items()}
-    surplus_mid = mid_from_counts({i: m for i, m in surplus.items() if m})
-    result = frozenset(mid_add(kid, surplus_mid) for kid in memo[key])
-    full_memo[full_key] = result
-    return result
+
+    width: int
+    unit: tuple[int, ...]  # per index, a count of 1 in its field
+    guards: int  # the guard bit of every field
+    mu: tuple[int, ...]  # per target b, mu(i, b) in field i
+    sticky: int  # saturation + 1 in every field
+
+    def pack(self, mid: ModuleId) -> int:
+        return sum(self.unit[k] for k in mid)
+
+    def unpack(self, state: int) -> ModuleId:
+        mask = (1 << self.width - 1) - 1
+        return tuple(k for k in range(len(self.unit))
+                     for _ in range(state >> k * self.width & mask))
 
 
-def _sticky_cap(cat: Catalog, mid: ModuleId) -> ModuleId:
-    """Cap multiplicities at saturation + 1; the top value means "many"."""
-    memo = cat._closure_memo.setdefault("sticky", {})
-    if mid not in memo:
-        capped = {}
-        for i, m in mid_counts(mid).items():
-            if m:
-                capped[i] = min(m, cat.saturation[i] + 1)
-        memo[mid] = mid_from_counts(capped)
-    return memo[mid]
+def _packing(cat: Catalog) -> _Packing:
+    """The packing of the kernel search, built on first use.
 
-
-def _seed_states(cat: Catalog, cfg: CheckConfig) -> list[tuple[int, int, ModuleId]]:
-    """Sticky-capped seed multisets over the whole catalog, within the caps.
-
-    Multiplicities beyond saturation + 1 are redundant for kernel classes, so
-    seeds stop there; the dimension cap is applied to that minimal
-    representative.  Returns (support mask, total dim, state), memoized.
+    A count in a search state is a seed count or a sticky-capped one, at
+    most saturation + 1, plus, in a kernel of a map from the core into b,
+    at most the total dimension of that core; the field holds their sum.
     """
-    memo = cat._closure_memo.setdefault("seeds", {})
-    key = (cfg.mult_cap, cfg.dim_cap)
-    if key not in memo:
+    memo = cat._closure_memo
+    if "packing" not in memo:
+        n, sat = cat.n, cat.saturation
         dims = [m.total_dim for m in cat.indecs]
-        caps = [min(cfg.mult_cap, cat.saturation[i] + 1) for i in range(cat.n)]
-        seeds: list[tuple[int, int, ModuleId]] = []
-
-        def rec(i: int, counts: dict, used: int, mask: int) -> None:
-            if i == cat.n:
-                if counts:
-                    seeds.append((mask, used, mid_from_counts(counts)))
-                return
-            rec(i + 1, counts, used, mask)
-            for m in range(1, caps[i] + 1):
-                total = used + m * dims[i]
-                if total > cfg.dim_cap:
-                    break
-                counts[i] = m
-                rec(i + 1, counts, total, mask | (1 << i))
-            counts.pop(i, None)
-
-        rec(0, {}, 0, 0)
-        memo[key] = seeds
-    return memo[key]
+        core_dim = max(sum(cat.mu_bound(i, b) * dims[i] for i in range(n)) for b in range(n))
+        width = (max(sat) + 1 + core_dim).bit_length() + 1
+        unit = tuple(1 << k * width for k in range(n))
+        memo["packing"] = _Packing(
+            width, unit, sum(u << width - 1 for u in unit),
+            tuple(sum(cat.mu_bound(i, b) * unit[i] for i in range(n)) for b in range(n)),
+            sum((sat[k] + 1) * unit[k] for k in range(n)),
+        )
+    return memo["packing"]
 
 
-def _generator_states(s: SubcatBits, cfg: CheckConfig) -> set:
-    """Dominance-maximal seed states supported on the members.
+def _ordered_kernel_classes(cat: Catalog, pk: _Packing, core: int, b: int, top: int) -> tuple:
+    """(packed class, support bits) per kernel class of the maps from core into b.
 
-    A seed below another (entrywise) only produces kernel classes that ride
-    along inside the larger seed's search with surplus summands attached, so
-    only maximal seeds need exploring.
+    Ordered as the sorted index tuples of the classes plus a surplus whose
+    largest index is ``top`` (-1: no surplus), and that order depends on
+    the surplus through ``top`` alone.  Two such tuples first differ at the
+    first index i where the classes differ; the one with more copies of i
+    is smaller unless nothing follows i in the other, that is, unless the
+    other class and the surplus both stop at or before i.
+    """
+    mid = pk.unpack(core)
+    classes = cat._closure_memo.setdefault("kerstep", {})
+    if (mid, b) not in classes:
+        classes[(mid, b)] = _kernel_classes(cat, mid, b)
+    tail = (top,) if top >= 0 else ()
+    return tuple(
+        (pk.pack(kid), sum(1 << k for k in set(kid)))
+        for kid in sorted(classes[(mid, b)], key=lambda kid: tuple(sorted(kid + tail)))
+    )
+
+
+def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
+    """Dominance-maximal seed multisets on the members, packed.
+
+    A seed takes at most min(mult_cap, saturation + 1) copies of each member
+    (more are redundant for kernel classes) within the dimension cap.  A seed
+    below another (entrywise) only produces kernel classes that ride along
+    inside the larger seed's search with surplus summands attached, so only
+    maximal seeds need exploring: every member is at its cap or no longer fits.
     """
     cat = s.catalog
+    unit = _packing(cat).unit
     dims = [m.total_dim for m in cat.indecs]
     caps = [min(cfg.mult_cap, cat.saturation[i] + 1) for i in range(cat.n)]
-    member_idxs = s.indices()
-    gens: set = set()
-    for mask, used, state in _seed_states(cat, cfg):
-        if mask & ~s.bits:
-            continue
-        counts = mid_counts(state)
-        maximal = all(
-            counts.get(i, 0) == caps[i] or used + dims[i] > cfg.dim_cap
-            for i in member_idxs
-        )
-        if maximal:
-            gens.add(state)
+    members = s.indices()
+    rest = [sum(caps[i] * dims[i] for i in members[t:]) for t in range(len(members) + 1)]
+    gens = []
+
+    def rec(t: int, used: int, state: int, need: int) -> None:
+        # need: the least dimension of a member left below its cap so far
+        if used + rest[t] + need <= cfg.dim_cap:
+            return  # that member would still fit in every completion
+        if t == len(members):
+            if used:
+                gens.append(state)
+            return
+        i = members[t]
+        for m in range(caps[i] + 1):
+            total = used + m * dims[i]
+            if total > cfg.dim_cap:
+                break
+            rec(t + 1, total, state + m * unit[i], need if m == caps[i] else min(need, dims[i]))
+
+    rec(0, 0, 0, cfg.dim_cap + 1)
     return gens
 
 
 def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Optional[str]:
     """Search for a kernel of a member-sum morphism outside the subcategory.
 
-    Worklist over sticky-capped isomorphism classes; iterating single-target
-    kernel steps covers kernels of maps into arbitrary member sums, since
-    those are iterated kernels of the restrictions.
+    Worklist over sticky-capped isomorphism classes, packed as ints; iterating
+    single-target kernel steps covers kernels of maps into arbitrary member
+    sums, since those are iterated kernels of the restrictions.  From a
+    state, the core keeps min(mult, mu) copies per indecomposable; the
+    remaining copies land in every kernel untouched and are added back.
+    The frontier and each step's kernel classes are visited in the order of
+    their sorted index tuples, which fixes the first witness.
     """
     if s.is_empty:
         return None
@@ -416,18 +429,37 @@ def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Op
         hit = memo[s.bits]
     else:
         hit = None
-        targets = s.indices()
-        seen = _generator_states(s, cfg)
-        frontier = sorted(seen)
+        pk = _packing(cat)
+        guards, sticky, shift, width = pk.guards, pk.sticky, pk.width - 1, pk.width
+        outside = ~s.bits
+        ordered = cat._closure_memo.setdefault("kerstep_packed", {})
+        targets = [(b, pk.mu[b]) for b in s.indices()]
+        frontier = sorted(_generator_states(s, cfg), key=pk.unpack)
+        seen = set(frontier)
         while frontier and hit is None:
             state = frontier.pop()
-            for b in targets:
-                for kid in sorted(_kerstep(cat, state, b)):
-                    bad = [k for k in sorted(set(kid)) if not s.has(k)]
-                    if bad:
-                        hit = (state, b, kid)
+            for b, mu in targets:
+                # per field min(state, mu): take mu where the guard survives state - mu
+                ge = ((state | guards) - mu) & guards
+                take = ge - (ge >> shift)
+                core = (mu & take) | (state & ~take)
+                if not core:
+                    continue  # Hom(state, X_b) = 0: no nonzero morphism
+                surplus = state - core
+                # the largest index in the surplus (-1 for none) fixes the class order
+                key = (core, b, (surplus.bit_length() - 1) // width)
+                classes = ordered.get(key)
+                if classes is None:
+                    classes = ordered[key] = _ordered_kernel_classes(cat, pk, *key)
+                for kc, support in classes:
+                    kid = kc + surplus
+                    if support & outside:
+                        hit = (pk.unpack(state), b, pk.unpack(kid))
                         break
-                    capped = _sticky_cap(cat, kid)
+                    # the sticky cap: per field min(kid, saturation + 1)
+                    ge = ((kid | guards) - sticky) & guards
+                    take = ge - (ge >> shift)
+                    capped = (sticky & take) | (kid & ~take)
                     if capped and capped not in seen:
                         seen.add(capped)
                         frontier.append(capped)

@@ -10,13 +10,17 @@ vertex, that are stable under every arrow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, ShapeError
 from .linalg import Mat, Subspace, nullspace, pack_row, rref
 
 SUBMODULE_DIM_CAP = 12
+# Lines of F_p^d enumerated per vertex by all_submodules; 2^12 - 1 is a
+# 12-dimensional vertex over F_2, the largest the dimension cap admits.
+SUBMODULE_LINE_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,21 @@ class Algebra:
 
 @dataclass(frozen=True)
 class Rep:
-    """A representation: one dimension and one matrix per quiver item."""
+    """A representation: one dimension and one matrix per quiver item.
+
+    Hashed by value, once: catalogs memoize per-module work on Rep keys.
+    """
 
     algebra: Algebra
     dims: tuple[int, ...]
     mats: tuple[Mat, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.algebra, self.dims, self.mats))
 
     @property
     def total_dim(self) -> int:
@@ -530,28 +544,41 @@ def generated_submodule(m: Rep, generators: Iterable[tuple[int, Sequence[int]]])
     return SubRep(m, tuple(spaces))
 
 
+def check_submodule_cap(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> None:
+    """Raise CapExceeded when m is too large for submodule enumeration."""
+    if m.total_dim > cap:
+        raise CapExceeded(f"total dimension {m.total_dim} exceeds submodule cap {cap}")
+
+
+def _lines(p: int, d: int) -> Iterator[tuple[int, ...]]:
+    """One generator per line of F_p^d: the vectors whose first nonzero entry is 1."""
+    return ((0,) * lead + (1,) + rest
+            for lead in range(d) for rest in product(range(p), repeat=d - 1 - lead))
+
+
 def all_submodules(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> list[SubRep]:
     """Every arrow-stable subspace tuple, as the join closure of cyclic subs.
 
     Complete because each submodule is the join of the cyclic submodules of
-    its vectors; raises CapExceeded above the configured total dimension.
+    its vectors, and v and c*v generate the same one, so one vector per line
+    suffices.  Raises CapExceeded above the configured total dimension, and
+    when a vertex has more than SUBMODULE_LINE_BUDGET lines.
     """
-    if m.total_dim > cap:
-        raise CapExceeded(f"total dimension {m.total_dim} exceeds submodule cap {cap}")
+    check_submodule_cap(m, cap)
     p = m.algebra.p
+    for v, d in enumerate(m.dims):
+        lines = (p ** d - 1) // (p - 1)
+        if lines > SUBMODULE_LINE_BUDGET:
+            raise CapExceeded(
+                f"vertex {m.algebra.vertices[v]} of dimension {d} over F_{p} has {lines} "
+                f"lines, over the submodule line budget {SUBMODULE_LINE_BUDGET}"
+            )
     found: dict = {}
     zero = SubRep.zero(m)
     found[zero.key()] = zero
     cyclic = []
-    for v in range(m.algebra.n_vertices):
-        d = m.dims[v]
-        if d == 0:
-            continue
-        if p == 2:
-            vecs = range(1, 1 << d)
-        else:
-            vecs = (t for t in product(range(p), repeat=d) if any(t))
-        for vec in vecs:
+    for v, d in enumerate(m.dims):
+        for vec in _lines(p, d):
             sub = generated_submodule(m, [(v, vec)])
             if sub.key() not in found:
                 found[sub.key()] = sub
@@ -578,7 +605,9 @@ def all_submodules(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> list[SubRep]:
 def is_isomorphic(m: Rep, n: Rep, max_candidates: int = 1 << 16) -> bool:
     """Search the Hom space for a vertexwise-invertible morphism.
 
-    Raises CapExceeded when p^dim Hom(m, n) exceeds max_candidates.
+    f is invertible exactly when c*f is, so one coefficient vector per line
+    is tried; raises CapExceeded when those (p^h - 1)/(p - 1) candidates,
+    h = dim Hom(m, n), exceed max_candidates.
     """
     if m.algebra != n.algebra:
         raise ShapeError("representations over different algebras")
@@ -588,11 +617,9 @@ def is_isomorphic(m: Rep, n: Rep, max_candidates: int = 1 << 16) -> bool:
         return True
     basis = hom_basis(m, n)
     p = m.algebra.p
-    if p ** len(basis) > max_candidates:
+    if (p ** len(basis) - 1) // (p - 1) > max_candidates:
         raise CapExceeded(f"Hom space of dimension {len(basis)} exceeds isomorphism search cap")
-    for coeffs in product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
+    for coeffs in _lines(p, len(basis)):
         f = morphism_from_coeffs(basis, coeffs, m, n)
         if all(rref(c).rank == d for c, d in zip(f.comps, m.dims)):
             return True

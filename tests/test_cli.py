@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from subcat import cli
 from subcat.cli import main
 
 
@@ -338,3 +339,32 @@ def test_large_prime_with_one_dimensional_end(tmp_path, capsys):
     code, out, _ = run(capsys, "catalog", *args)
     assert code == 0
     assert out.startswith("catalog algebra: 1 indecomposables over F_1000003")
+
+
+def test_large_prime_enumerates_all_families(tmp_path, capsys):
+    """One line per vertex and one scalar class of Hom: F_1000003 costs no more than F_2."""
+    args = file_catalog_args(tmp_path, {"field_char": 1000003, "vertices": ["1"]}, S1)
+    code, out, _ = run(capsys, "enumerate", *args, "--kind", "all")
+    assert code == 0
+    assert [line.split(" | ")[-1] for line in out.splitlines()[2:]] == ["2"] * 7
+
+
+@pytest.mark.parametrize("error", [ValueError, AttributeError])
+def test_uncaught_exception_is_one_line_with_exit_4(monkeypatch, capsys, error):
+    def broken(cfg, kind):
+        raise error("broken\ninvariant")
+
+    monkeypatch.setattr(cli, "cmd_enumerate", broken)
+    code, out, err = run(capsys, "enumerate", "--builtin", "a2")
+    assert code == 4
+    assert out == ""
+    assert err == f"error: internal: {error.__name__}: broken invariant\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(cfg, kind):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_enumerate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["enumerate", "--builtin", "a2"])

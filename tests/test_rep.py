@@ -299,6 +299,30 @@ def test_all_submodules_cap():
         all_submodules(big)
 
 
+A2_F3 = Algebra.build(3, ["1", "2"], [("a", "1", "2")])
+LOOP2_F3 = Algebra.build(3, ["1"], [("x", "1", "1")], [[(1, ["x", "x"])]])
+
+
+@pytest.mark.parametrize("m", [
+    Rep(A2_F3, (2, 1), (Mat.from_rows(3, [[1, 2]]),)),
+    Rep(A2_F3, (1, 2), (Mat.from_rows(3, [[0], [0]], ncols=1),)),
+    Rep(LOOP2_F3, (3,), (Mat.from_rows(3, [[0, 0, 0], [1, 0, 0], [0, 0, 0]]),)),
+])
+def test_all_submodules_one_vector_per_line_vs_bruteforce(m):
+    got = {s.key() for s in all_submodules(m)}
+    assert got == brute_stable_tuples(m)
+
+
+def test_all_submodules_line_budget_over_a_large_field():
+    """A 2-dimensional vertex over F_1000003 has 1000004 lines; the budget stops it at once."""
+    big_field = Algebra.build(1000003, ["1"], [])
+    plane = Rep(big_field, (2,), ())
+    with pytest.raises(CapExceeded, match="vertex 1 of dimension 2 over F_1000003 has 1000004 lines"):
+        all_submodules(plane)
+    line = Rep(big_field, (1,), ())
+    assert len(all_submodules(line)) == 2
+
+
 def test_generated_submodule():
     empty = generated_submodule(B, [])
     assert empty.is_zero
@@ -330,3 +354,15 @@ def test_iso_detects_base_change():
     # x^2 = 0 holds since the matrix squares to zero over F_2
     assert validate(twisted) is None
     assert is_isomorphic(twisted, jordan(LOOP3, 2))
+
+
+def test_iso_search_tries_one_scalar_class():
+    """Over F_1000003, a one-dimensional Hom space is one candidate, not 10^6."""
+    big_field = Algebra.build(1000003, ["1"], [])
+    simple = Rep(big_field, (1,), ())
+    assert is_isomorphic(simple, simple, max_candidates=1)
+    twisted = Rep(LOOP2_F3, (2,), (Mat.from_rows(3, [[0, 0], [2, 0]]),))
+    plain = Rep(LOOP2_F3, (2,), (Mat.from_rows(3, [[0, 0], [1, 0]]),))
+    assert is_isomorphic(twisted, plain)
+    with pytest.raises(CapExceeded):
+        is_isomorphic(twisted, plain, max_candidates=3)
