@@ -30,7 +30,7 @@ first use, not at catalog build.
 
 from __future__ import annotations
 
-import json
+from functools import cache
 from itertools import product
 from math import gcd
 from operator import add, mul
@@ -747,8 +747,13 @@ def _apply_inverse(a: Sequence[Sequence[int]], d: int, vec: Sequence[int]) -> Op
 # -- subspace enumeration (for the mu bounds) -------------------------------------------
 
 
-def _enumerate_subspaces(p: int, dim: int) -> list[Subspace]:
-    """All subspaces of F_p^dim by breadth-first span growth (small dim only)."""
+@cache
+def _enumerate_subspaces(p: int, dim: int) -> tuple[Subspace, ...]:
+    """All subspaces of F_p^dim by breadth-first span growth (small dim only).
+
+    Memoized per (p, dim): `_mu_bound` asks for it once per Hom pair, and its
+    guard keeps dim at most 5, so there are few keys; the values are immutable.
+    """
     zero = Subspace.zero(p, dim)
     if p == 2:
         vectors = list(range(1, 1 << dim))
@@ -767,7 +772,7 @@ def _enumerate_subspaces(p: int, dim: int) -> list[Subspace]:
                     seen[grown.basis.rows] = grown
                     nxt.append(grown)
         frontier = nxt
-    return list(seen.values())
+    return tuple(seen.values())
 
 
 # -- builtin catalogs --------------------------------------------------------------------
@@ -956,6 +961,8 @@ def load_catalog(algebra_path: str | Path, module_paths: Sequence[str | Path]) -
 
 
 def _read_json(path: Path) -> dict:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -973,6 +980,8 @@ def _expect(value, kind: type, what: str, path: Path):
     """``value`` if it is a JSON value of that kind (a boolean is no integer), else ParseError."""
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
+    import json
+
     raise ParseError(f"{path}: {what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
 
 

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import Catalog, build_builtin, load_catalog
 from .closures import (
@@ -47,8 +45,7 @@ EXIT_CAP_EXCEEDED = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved invocation: algebra source, format, caps, output."""
 
     builtin: Optional[str]
@@ -93,13 +90,19 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(cfg: RunConfig, data) -> None:
+    import json
+
+    _emit(cfg, json.dumps(data, indent=2) + "\n")
+
+
 # -- subcommands ---------------------------------------------------------------------
 
 
 def cmd_catalog(cfg: RunConfig) -> int:
     cat, label = cfg.load()
     if cfg.fmt == "json":
-        _emit(cfg, json.dumps(cat.to_json(), indent=2) + "\n")
+        _emit_json(cfg, cat.to_json())
         return EXIT_OK
     alg = cat.algebra
     lines = [f"catalog {label}: {cat.n} indecomposables over F_{alg.p}"]
@@ -155,7 +158,7 @@ def cmd_closure(cfg: RunConfig, kind: str, set_arg: str) -> int:
         }
         if cfg.explain:
             payload["certificates"] = [c.to_json() for c in certificates]
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
+        _emit_json(cfg, payload)
         return EXIT_OK
     lines = [closed.label()]
     for cert in certificates:
@@ -174,7 +177,7 @@ def cmd_enumerate(cfg: RunConfig, kind: str) -> int:
             raise ParseError("dot output needs a single --kind, not 'all'")
         report = relations_report(cat, cfg.caps, label=label)
         if cfg.fmt == "json":
-            _emit(cfg, json.dumps(report.to_json(), indent=2) + "\n")
+            _emit_json(cfg, report.to_json())
         else:
             _emit(cfg, report.table_text())
         return EXIT_OK
@@ -185,7 +188,7 @@ def cmd_enumerate(cfg: RunConfig, kind: str) -> int:
         _emit(cfg, hasse_to_dot(hasse(family)))
         return EXIT_OK
     if cfg.fmt == "json":
-        _emit(cfg, json.dumps(family.to_json(), indent=2) + "\n")
+        _emit_json(cfg, family.to_json())
         return EXIT_OK
     members = ", ".join(m.label() for m in family.members)
     _emit(cfg, f"{kind}: {members}\ncount: {family.count}\n")
@@ -320,7 +323,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "passed": passed,
             "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
         }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
+        _emit_json(cfg, payload)
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {name} ({detail})" for name, ok, detail in checks]
         lines.append(f"RESULT: {'PASS' if passed else 'FAIL'} ({len(checks)} checks)")

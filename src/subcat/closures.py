@@ -24,12 +24,11 @@ of the enumeration they check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .catalog import Catalog, ModuleId, mid_counts
 from .errors import NotTorsionFree, ShapeError
-from .linalg import Subspace
+from .linalg import Subspace, _Frozen, _slot_setters
 from .rep import (
     Rep,
     SubRep,
@@ -44,12 +43,25 @@ from .rep import (
 )
 
 
-@dataclass(frozen=True)
-class SubcatBits:
+class SubcatBits(_Frozen):
     """A subcategory of mod Lambda, encoded by its set of indecomposables."""
 
-    catalog: Catalog
-    bits: int
+    __slots__ = ("catalog", "bits")
+
+    def __init__(self, catalog: Catalog, bits: int):
+        _bits_catalog(self, catalog)
+        _bits_bits(self, bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits and self.catalog == other.catalog
+
+    def __hash__(self):
+        return hash((self.catalog, self.bits))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(catalog={self.catalog!r}, bits={self.bits!r})"
 
     @staticmethod
     def empty(catalog: Catalog) -> "SubcatBits":
@@ -114,6 +126,9 @@ class SubcatBits:
 
     def label(self) -> str:
         return "{" + ", ".join(self.names()) + "}"
+
+
+_bits_catalog, _bits_bits = _slot_setters(SubcatBits)
 
 
 # -- trace and reject ------------------------------------------------------------
@@ -193,8 +208,7 @@ def sub_contains(c: SubcatBits, x: Rep) -> bool:
 # -- torsion and torsion-free closures ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     module: tuple[str, ...]
     layer_dims: tuple[int, ...]
 
@@ -202,8 +216,7 @@ class ChainStep:
         return {"module": list(self.module), "layer_dims": list(self.layer_dims)}
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(NamedTuple):
     """Witness for one catalog member's closure test.
 
     Records the iterated chain down to zero (member) or to the first nonzero
@@ -373,8 +386,7 @@ def serre_closure(c: SubcatBits) -> SubcatBits:
 # -- torsion pairs ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionPair:
+class TorsionPair(NamedTuple):
     tors: SubcatBits
     verified: bool
     witnesses: tuple[dict, ...]

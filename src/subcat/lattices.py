@@ -80,8 +80,6 @@ operators and need none of the above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -95,7 +93,7 @@ from .closures import (
     tors_closure,
 )
 from .errors import CapExceeded, ShapeError
-from .linalg import _combine, _pivot_rows, pack_row
+from .linalg import _Frozen, _combine, _pivot_rows, _slot_setters, pack_row
 from .rep import direct_sum, flat_entries, kernel, morphism_from_coeffs, sub_to_rep
 
 KINDS = ("serre", "tors", "torf", "wide", "ice", "ike", "ie")
@@ -115,16 +113,30 @@ INCLUSION_ARROWS = (
 KERNEL_ENUM_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(_Frozen):
     """Caps for the bounded morphism searches in wide/ice/ike checking."""
 
-    mult_cap: int = 2
-    dim_cap: int = 16
+    __slots__ = ("mult_cap", "dim_cap")
 
-    def __post_init__(self):
-        if self.mult_cap < 1 or self.dim_cap < 1:
+    def __init__(self, mult_cap: int = 2, dim_cap: int = 16):
+        if mult_cap < 1 or dim_cap < 1:
             raise ShapeError("caps must be at least 1")
+        _cfg_mult_cap(self, mult_cap)
+        _cfg_dim_cap(self, dim_cap)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mult_cap == other.mult_cap and self.dim_cap == other.dim_cap
+
+    def __hash__(self):
+        return hash((self.mult_cap, self.dim_cap))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(mult_cap={self.mult_cap!r}, dim_cap={self.dim_cap!r})"
+
+
+_cfg_mult_cap, _cfg_dim_cap = _slot_setters(CheckConfig)
 
 
 def _mid_label(cat: Catalog, mid: ModuleId) -> str:
@@ -537,25 +549,41 @@ def _added_names(s: SubcatBits, closed: SubcatBits) -> str:
 # -- families -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Frozen):
     """All subcategories of one kind over a catalog, sorted by (size, bitset)."""
 
-    kind: str
-    catalog: Catalog
-    members: tuple[SubcatBits, ...]
-    config: CheckConfig = field(default_factory=CheckConfig)
+    __slots__ = ("kind", "catalog", "members", "config", "_bitsets")
+
+    def __init__(self, kind: str, catalog: Catalog, members: tuple[SubcatBits, ...],
+                 config: Optional[CheckConfig] = None):
+        _fam_kind(self, kind)
+        _fam_catalog(self, catalog)
+        _fam_members(self, members)
+        _fam_config(self, CheckConfig() if config is None else config)
+        _fam_bitsets(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind == other.kind and self.catalog == other.catalog
+                and self.members == other.members and self.config == other.config)
+
+    def __hash__(self):
+        return hash((self.kind, self.catalog, self.members, self.config))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, catalog={self.catalog!r}, "
+                f"members={self.members!r}, config={self.config!r})")
 
     @property
     def count(self) -> int:
         return len(self.members)
 
     def bitsets(self) -> frozenset[int]:
+        """The members' bitsets, built on the first call."""
+        if self._bitsets is None:
+            _fam_bitsets(self, frozenset(m.bits for m in self.members))
         return self._bitsets
-
-    @cached_property
-    def _bitsets(self) -> frozenset[int]:
-        return frozenset(m.bits for m in self.members)
 
     def member_names(self) -> list[tuple[str, ...]]:
         return [m.names() for m in self.members]
@@ -570,6 +598,9 @@ class Family:
                 "dim_cap": self.config.dim_cap,
             },
         }
+
+
+_fam_kind, _fam_catalog, _fam_members, _fam_config, _fam_bitsets = _slot_setters(Family)
 
 
 def _sorted_members(cat: Catalog, bitsets: Iterable[int]) -> tuple[SubcatBits, ...]:
@@ -775,8 +806,7 @@ def enumerate_ie_by_intersection(cat: Catalog, cfg: Optional[CheckConfig] = None
 # -- Hasse diagrams ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """Cover relation of a family under inclusion; edges are (lower, upper)."""
 
     family: Family
@@ -816,8 +846,7 @@ def hasse_to_dot(diagram: HasseDiagram) -> str:
 # -- relations report ----------------------------------------------------------------------
 
 
-@dataclass
-class RelationsReport:
+class RelationsReport(NamedTuple):
     """Families of all seven kinds plus the inclusion and coincidence facts."""
 
     catalog_label: str

@@ -8,7 +8,6 @@ echelon form is the canonical shape used for all subspace comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError
@@ -84,16 +83,60 @@ def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
                  for e in range(len(vectors[0])))
 
 
-@dataclass(frozen=True)
-class Mat:
+class _Frozen:
+    """Base of the immutable value types: no instance ``__dict__``, no assignment.
+
+    Each subclass lists its fields in ``__slots__`` and writes them once, in
+    its own ``__init__``, through the slot descriptors (``_slot_setters``);
+    ``__eq__``, ``__hash__`` and ``__repr__`` are written per class as well.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; fields are the public slots.
+        cls = type(self)
+        return cls, tuple(getattr(self, f) for f in cls.__slots__ if f[0] != "_")
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each slot of cls, in ``__slots__`` order."""
+    return tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
+
+
+class Mat(_Frozen):
     """Dense matrix over F_p with immutable, hashable storage."""
 
-    p: int
-    nrows: int
-    ncols: int
-    rows: tuple
+    __slots__ = ("p", "nrows", "ncols", "rows")
+
+    def __init__(self, p: int, nrows: int, ncols: int, rows: tuple):
+        _mat_p(self, p)
+        _mat_nrows(self, nrows)
+        _mat_ncols(self, ncols)
+        _mat_rows(self, rows)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p == other.p and self.nrows == other.nrows
+                and self.ncols == other.ncols and self.rows == other.rows)
+
+    def __hash__(self):
+        return hash((self.p, self.nrows, self.ncols, self.rows))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(p={self.p!r}, nrows={self.nrows!r}, "
+                f"ncols={self.ncols!r}, rows={self.rows!r})")
 
     def __post_init__(self):
+        """Validate the fields; every construction calls it exactly once."""
         if len(self.rows) != self.nrows:
             raise ShapeError(f"expected {self.nrows} rows, got {len(self.rows)}")
         if self.p == 2:
@@ -276,6 +319,9 @@ class Mat:
         return Mat(self.p, self.nrows, len(cols), rows)
 
 
+_mat_p, _mat_nrows, _mat_ncols, _mat_rows = _slot_setters(Mat)
+
+
 class Echelon(NamedTuple):
     matrix: Mat
     rank: int
@@ -377,16 +423,27 @@ def solve(a: Mat, b: Mat) -> Optional[Solution]:
     return Solution(Mat.from_rows(a.p, part, b.ncols), nullspace(a))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Frozen):
     """Row-span subspace of F_p^ambient_dim with an RREF basis (no zero rows)."""
 
-    ambient_dim: int
-    basis: Mat
+    __slots__ = ("ambient_dim", "basis")
 
-    def __post_init__(self):
-        if self.basis.ncols != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: Mat):
+        if basis.ncols != ambient_dim:
             raise ShapeError("basis columns must equal ambient dimension")
+        _sub_ambient_dim(self, ambient_dim)
+        _sub_basis(self, basis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @property
     def p(self) -> int:
@@ -498,3 +555,6 @@ class Subspace:
                     if c:
                         v = tuple((a + c * b) % self.p for a, b in zip(v, r))
             yield v
+
+
+_sub_ambient_dim, _sub_basis = _slot_setters(Subspace)

@@ -9,13 +9,11 @@ vertex, that are stable under every arrow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, ShapeError
-from .linalg import Mat, Subspace, nullspace, pack_row, rref
+from .linalg import Mat, Subspace, _check_prime, _Frozen, _slot_setters, nullspace, pack_row, rref
 
 SUBMODULE_DIM_CAP = 12
 # Lines of F_p^d enumerated per vertex by all_submodules; 2^12 - 1 is a
@@ -23,23 +21,20 @@ SUBMODULE_DIM_CAP = 12
 SUBMODULE_LINE_BUDGET = 1 << 12
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: int
     target: int
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     label: str
     source: int
     target: int
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(NamedTuple):
     """A quiver with relations over F_p, presented by named vertices and arrows."""
 
     p: int
@@ -54,12 +49,13 @@ class Algebra:
         arrows: Sequence[tuple[str, str, str]],
         relations: Sequence[Sequence[tuple[int, Sequence[str]]]] = (),
     ) -> "Algebra":
-        """Resolve names and validate a presentation.
+        """Resolve names and validate a presentation over F_p (p must be prime).
 
         Arrows are (name, source vertex, target vertex) triples.  Each
         relation is a list of (coefficient, path) terms whose paths must be
         composable and share one source and one target.
         """
+        _check_prime(p)
         vindex = {v: i for i, v in enumerate(vertices)}
         if len(vindex) != len(vertices):
             raise ShapeError("duplicate vertex names")
@@ -115,23 +111,36 @@ class Algebra:
         return Algebra(self.p, self.vertices, arrs, rels)
 
 
-@dataclass(frozen=True)
-class Rep:
+class Rep(_Frozen):
     """A representation: one dimension and one matrix per quiver item.
 
     Hashed by value, once: catalogs memoize per-module work on Rep keys.
     """
 
-    algebra: Algebra
-    dims: tuple[int, ...]
-    mats: tuple[Mat, ...]
+    __slots__ = ("algebra", "dims", "mats", "_hash")
+
+    def __init__(self, algebra: Algebra, dims: tuple[int, ...], mats: tuple[Mat, ...]):
+        _rep_algebra(self, algebra)
+        _rep_dims(self, dims)
+        _rep_mats(self, mats)
+        _rep_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self is other or self.dims == other.dims and self.mats == other.mats
+                and self.algebra == other.algebra)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.algebra, self.dims, self.mats))
+            _rep_hash(self, h)
+        return h
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.algebra, self.dims, self.mats))
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(algebra={self.algebra!r}, dims={self.dims!r}, "
+                f"mats={self.mats!r})")
 
     @property
     def total_dim(self) -> int:
@@ -157,11 +166,29 @@ class Rep:
         return Rep(algebra, dims, tuple(packed))
 
 
-@dataclass(frozen=True)
-class Morphism:
-    source: Rep
-    target: Rep
-    comps: tuple[Mat, ...]
+_rep_algebra, _rep_dims, _rep_mats, _rep_hash = _slot_setters(Rep)
+
+
+class Morphism(_Frozen):
+    __slots__ = ("source", "target", "comps")
+
+    def __init__(self, source: Rep, target: Rep, comps: tuple[Mat, ...]):
+        _mor_source(self, source)
+        _mor_target(self, target)
+        _mor_comps(self, comps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.comps == other.comps and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.comps))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(source={self.source!r}, target={self.target!r}, "
+                f"comps={self.comps!r})")
 
     @property
     def is_zero(self) -> bool:
@@ -185,12 +212,28 @@ class Morphism:
         return Morphism(source, target, comps)
 
 
-@dataclass(frozen=True)
-class SubRep:
+_mor_source, _mor_target, _mor_comps = _slot_setters(Morphism)
+
+
+class SubRep(_Frozen):
     """An arrow-stable tuple of vertex subspaces of an ambient representation."""
 
-    ambient: Rep
-    spaces: tuple[Subspace, ...]
+    __slots__ = ("ambient", "spaces")
+
+    def __init__(self, ambient: Rep, spaces: tuple[Subspace, ...]):
+        _subrep_ambient(self, ambient)
+        _subrep_spaces(self, spaces)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spaces == other.spaces and self.ambient == other.ambient
+
+    def __hash__(self):
+        return hash((self.ambient, self.spaces))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(ambient={self.ambient!r}, spaces={self.spaces!r})"
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -233,6 +276,9 @@ class SubRep:
 
     def contains(self, other: "SubRep") -> bool:
         return all(a.contains(b) for a, b in zip(self.spaces, other.spaces))
+
+
+_subrep_ambient, _subrep_spaces = _slot_setters(SubRep)
 
 
 # -- validation ---------------------------------------------------------------
