@@ -9,13 +9,9 @@ wide, ICE-, IKE-, and IE-closed subcategories.
 from .catalog import (
     Catalog,
     build_builtin,
-    composition_factors,
-    ext_middle_terms,
-    identify,
     load_algebra,
     load_catalog,
     load_module,
-    opposite_catalog,
 )
 from .closures import (
     ChainCertificate,
@@ -50,7 +46,6 @@ from .lattices import (
     Family,
     HasseDiagram,
     enumerate_family,
-    enumerate_ie_by_intersection,
     hasse,
     hasse_to_dot,
     is_closed,

@@ -163,9 +163,6 @@ class Catalog:
     def n(self) -> int:
         return len(self.indecs)
 
-    def name_of(self, idx: int) -> str:
-        return self.names[idx]
-
     def index_of(self, name: str) -> int:
         if name not in self._name_index:
             raise ShapeError(f"unknown module name {name!r}")
@@ -755,10 +752,7 @@ def _enumerate_subspaces(p: int, dim: int) -> tuple[Subspace, ...]:
     guard keeps dim at most 5, so there are few keys; the values are immutable.
     """
     zero = Subspace.zero(p, dim)
-    if p == 2:
-        vectors = list(range(1, 1 << dim))
-    else:
-        vectors = [v for v in product(range(p), repeat=dim) if any(v)]
+    vectors = [pack_row(p, v) for v in product(range(p), repeat=dim) if any(v)]
     seen = {zero.basis.rows: zero}
     frontier = [zero]
     while frontier:
@@ -983,22 +977,3 @@ def _expect(value, kind: type, what: str, path: Path):
     import json
 
     raise ParseError(f"{path}: {what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
-
-
-# -- operation-style wrappers -------------------------------------------------------------------
-
-
-def opposite_catalog(cat: Catalog) -> Catalog:
-    return cat.opposite()
-
-
-def ext_middle_terms(cat: Catalog, i: int, j: int) -> frozenset:
-    return cat.ext_middle_terms(i, j)
-
-
-def identify(cat: Catalog, m: Rep) -> ModuleId:
-    return cat.identify(m)
-
-
-def composition_factors(cat: Catalog, m: Rep) -> ModuleId:
-    return cat.composition_factors(m)

@@ -20,15 +20,7 @@ from .closures import (
     tors_closure,
     torsion_pair_complete,
 )
-from .errors import (
-    CapExceeded,
-    CatalogError,
-    NotTorsionFree,
-    ParseError,
-    ShapeError,
-    SubcatError,
-    UnknownModule,
-)
+from .errors import CapExceeded, ParseError, SubcatError
 from .lattices import (
     KINDS,
     CheckConfig,
@@ -389,9 +381,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
-    except (ParseError, ShapeError, CatalogError, UnknownModule, NotTorsionFree) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except SubcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -93,7 +93,7 @@ from .closures import (
     tors_closure,
 )
 from .errors import CapExceeded, ShapeError
-from .linalg import _Frozen, _combine, _pivot_rows, _slot_setters, pack_row
+from .linalg import _Frozen, _combine, _pivot_rows, _reduced_rows, _slot_setters, pack_row
 from .rep import direct_sum, flat_entries, kernel, morphism_from_coeffs, sub_to_rep
 
 KINDS = ("serre", "tors", "torf", "wide", "ice", "ike", "ie")
@@ -176,21 +176,6 @@ def _image_violation(s: SubcatBits) -> Optional[str]:
     return None
 
 
-def _canonical_span(p: int, vectors: Iterable) -> tuple:
-    """The reduced echelon basis of the span, so equal spans give equal tuples."""
-    piv = _pivot_rows(p, vectors)
-    for t in sorted(piv, reverse=p != 2):
-        row = piv[t]
-        for s in piv:
-            if p == 2 and s < t and (row >> s) & 1:
-                row ^= piv[s]
-            elif p != 2 and s > t and row[s]:
-                c = row[s]
-                row = tuple((a - c * b) % p for a, b in zip(row, piv[s]))
-        piv[t] = row
-    return tuple(piv[t] for t in sorted(piv))
-
-
 def _image(p: int, table: tuple, coeffs: Sequence[int]) -> tuple:
     """Per probe, the canonical span of the images of g∘- for g = sum c_t g_t.
 
@@ -200,7 +185,7 @@ def _image(p: int, table: tuple, coeffs: Sequence[int]) -> tuple:
     """
     if not any(coeffs):
         return tuple(() for _ in table)
-    return tuple(_canonical_span(p, [_combine(p, coeffs, gen) for gen in probe])
+    return tuple(_reduced_rows(p, [_combine(p, coeffs, gen) for gen in probe])
                  for probe in table)
 
 
@@ -796,11 +781,6 @@ def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto",
     else:
         raise ShapeError(f"unknown strategy {strategy!r}")
     return Family(kind, cat, _sorted_members(cat, bitsets), cfg)
-
-
-def enumerate_ie_by_intersection(cat: Catalog, cfg: Optional[CheckConfig] = None) -> Family:
-    """All pairwise intersections of torsion classes with torsion-free classes."""
-    return enumerate_family(cat, "ie", "auto", cfg)
 
 
 # -- Hasse diagrams ---------------------------------------------------------------------

@@ -2,19 +2,32 @@
 
 Matrices over F_2 keep each row as an int bitmask (bit j = column j), so the
 hot elimination loops are bitwise xor on machine words.  Other primes store
-rows as tuples of residues.  Everything is an immutable value; row-reduced
-echelon form is the canonical shape used for all subspace comparisons.
+rows as tuples of residues.  Only this module reads or writes that format:
+other modules build rows with ``pack_row`` and read them with ``unpack_row``.
+
+Every elimination uses one pivot rule: the pivot of a row is its first
+nonzero column (over F_2, the lowest set bit), and a pivot row is scaled so
+that entry is 1.  ``_pivot_insert`` grows echelon rows keyed by that column;
+``_reduced_rows`` back-substitutes them into the unique reduced row-echelon
+basis of the span, which ``rref``, ``Subspace`` and the kernel oracle's image
+spans share.  Everything is an immutable value.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from math import isqrt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError
 
 
+@cache
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    """Raise ShapeError unless p is a prime below 2^31; a passing p is memoized."""
+    if p >= 1 << 31:
+        raise ShapeError("modulus is too large: the largest supported prime is 2^31 - 1")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ShapeError(f"modulus {p} is not prime")
 
 
@@ -36,31 +49,37 @@ def unpack_row(p: int, row, ncols: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _lead(p: int, row) -> int:
+    """The pivot column of a packed row: its first nonzero entry, or -1 for zero."""
+    if p == 2:
+        return (row & -row).bit_length() - 1
+    return next((j for j, e in enumerate(row) if e), -1)
+
+
+def _clear(p: int, row, pivot_row, col: int):
+    """row minus the multiple of pivot_row (entry 1 at col) that zeroes row's entry at col."""
+    if p == 2:
+        return row ^ pivot_row if (row >> col) & 1 else row
+    c = row[col]
+    return tuple((a - c * b) % p for a, b in zip(row, pivot_row)) if c else row
+
+
 def _pivot_insert(p: int, piv: dict, v) -> bool:
     """Reduce a packed vector against echelon rows keyed by pivot column and add it.
 
-    Over F_2 a vector is an int bitmask and its pivot is the top bit (an xor
-    basis); otherwise a tuple of residues, pivot its first nonzero entry,
-    scaled to 1.  False when the vector lies in the span already.
+    False when the vector lies in the span already.
     """
-    if p == 2:
-        while v:
-            t = v.bit_length() - 1
-            if t not in piv:
-                piv[t] = v
-                return True
-            v ^= piv[t]
+    t = _lead(p, v)
+    while t in piv:
+        v = _clear(p, v, piv[t], t)
+        t = _lead(p, v)
+    if t < 0:
         return False
-    while True:
-        t = next((j for j, e in enumerate(v) if e), None)
-        if t is None:
-            return False
-        if t not in piv:
-            inv = pow(v[t], p - 2, p)
-            piv[t] = tuple(e * inv % p for e in v)
-            return True
-        c = v[t]
-        v = tuple((a - c * b) % p for a, b in zip(v, piv[t]))
+    if p != 2:
+        inv = pow(v[t], p - 2, p)
+        v = tuple(e * inv % p for e in v)
+    piv[t] = v
+    return True
 
 
 def _pivot_rows(p: int, vectors: Iterable) -> dict:
@@ -69,6 +88,23 @@ def _pivot_rows(p: int, vectors: Iterable) -> dict:
     for v in vectors:
         _pivot_insert(p, piv, v)
     return piv
+
+
+def _reduced_rows(p: int, vectors: Iterable) -> tuple:
+    """The reduced row-echelon basis of the span of packed vectors, in pivot order.
+
+    Each echelon row is cleared at every later pivot column, in column order;
+    earlier pivot columns are zero already.  Equal spans give equal tuples.
+    """
+    piv = _pivot_rows(p, vectors)
+    cols = sorted(piv)
+    out = []
+    for k, t in enumerate(cols):
+        row = piv[t]
+        for s in cols[k + 1:]:
+            row = _clear(p, row, piv[s], s)
+        out.append(row)
+    return tuple(out)
 
 
 def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
@@ -330,50 +366,11 @@ class Echelon(NamedTuple):
 
 def rref(m: Mat) -> Echelon:
     """Unique reduced row-echelon form of m, with rank and pivot columns."""
-    p, n = m.p, m.ncols
-    if p == 2:
-        work = list(m.rows)
-        pivots = []
-        r = 0
-        for col in range(n):
-            pivot = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(len(work)):
-                if i != r and (work[i] >> col) & 1:
-                    work[i] ^= work[r]
-            pivots.append(col)
-            r += 1
-            if r == len(work):
-                break
-        ordered = work[:r] + [0] * (m.nrows - r)
-        return Echelon(Mat(2, m.nrows, n, tuple(ordered)), r, tuple(pivots))
-    work = [list(r) for r in m.rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][col], p - 2, p)
-        work[r] = [(e * inv) % p for e in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [(a - c * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    zero = [0] * n
-    ordered = work[:r] + [zero] * (m.nrows - r)
-    return Echelon(Mat(p, m.nrows, n, tuple(tuple(row) for row in ordered)), r, tuple(pivots))
-
-
-def rank(m: Mat) -> int:
-    return rref(m).rank
+    p = m.p
+    rows = _reduced_rows(p, m.rows)
+    zero = pack_row(p, (0,) * m.ncols)
+    matrix = Mat(p, m.nrows, m.ncols, rows + (zero,) * (m.nrows - len(rows)))
+    return Echelon(matrix, len(rows), tuple(_lead(p, row) for row in rows))
 
 
 def nullspace(m: Mat) -> Mat:
@@ -389,14 +386,9 @@ def nullspace(m: Mat) -> Mat:
             coeff = ech.matrix.entry(r, j)
             if coeff:
                 v[pc] = (-coeff) % m.p
-        vecs.append(v)
-    basis = Mat.from_rows(m.p, vecs, m.ncols)
-    canon = rref(basis)
-    return Mat(m.p, canon.rank, m.ncols, canon.matrix.rows[: canon.rank])
-
-
-def nullity(m: Mat) -> int:
-    return m.ncols - rref(m).rank
+        vecs.append(pack_row(m.p, v))
+    rows = _reduced_rows(m.p, vecs)
+    return Mat(m.p, len(rows), m.ncols, rows)
 
 
 class Solution(NamedTuple):
@@ -468,8 +460,7 @@ class Subspace(_Frozen):
 
     @staticmethod
     def from_matrix_rows(m: Mat) -> "Subspace":
-        ech = rref(m)
-        return Subspace(m.ncols, Mat(m.p, ech.rank, m.ncols, ech.matrix.rows[: ech.rank]))
+        return _span(m.p, m.ncols, m.rows)
 
     @staticmethod
     def image_of(m: Mat) -> "Subspace":
@@ -487,7 +478,7 @@ class Subspace(_Frozen):
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_matrix_rows(self.basis.vstack(other.basis))
+        return _span(self.p, self.ambient_dim, self.basis.rows + other.basis.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -504,36 +495,25 @@ class Subspace(_Frozen):
         return self.add(other).dim == self.dim
 
     def has_vector(self, packed_row) -> bool:
-        return self.reduce(packed_row) == (0 if self.p == 2 else (0,) * self.ambient_dim)
+        return _lead(self.p, self.reduce(packed_row)) < 0
 
     def reduce(self, packed_row):
         """Canonical representative of a vector modulo this subspace."""
-        if self.p == 2:
-            v = packed_row
-            for r, pc in zip(self.basis.rows, self.pivots):
-                if (v >> pc) & 1:
-                    v ^= r
-            return v
-        v = list(packed_row)
+        v = packed_row
         for r, pc in zip(self.basis.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = [(a - c * b) % self.p for a, b in zip(v, r)]
-        return tuple(v)
+            v = _clear(self.p, v, r, pc)
+        return v
 
     def coords(self, packed_row) -> tuple[int, ...]:
         """Coefficients of a member vector over the RREF basis."""
         if not self.has_vector(packed_row):
             raise ShapeError("vector is not in the subspace")
-        if self.p == 2:
-            return tuple((packed_row >> pc) & 1 for pc in self.pivots)
-        return tuple(packed_row[pc] for pc in self.pivots)
+        entries = unpack_row(self.p, packed_row, self.ambient_dim)
+        return tuple(entries[pc] for pc in self.pivots)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        if self.p == 2:
-            return tuple((r & -r).bit_length() - 1 for r in self.basis.rows)
-        return tuple(next(j for j, e in enumerate(r) if e) for r in self.basis.rows)
+        return tuple(_lead(self.p, r) for r in self.basis.rows)
 
     def nonpivots(self) -> tuple[int, ...]:
         piv = set(self.pivots)
@@ -558,3 +538,9 @@ class Subspace(_Frozen):
 
 
 _sub_ambient_dim, _sub_basis = _slot_setters(Subspace)
+
+
+def _span(p: int, n: int, vectors: Iterable) -> Subspace:
+    """The subspace of F_p^n spanned by packed vectors."""
+    rows = _reduced_rows(p, vectors)
+    return Subspace(n, Mat(p, len(rows), n, rows))

@@ -13,7 +13,17 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, ShapeError
-from .linalg import Mat, Subspace, _check_prime, _Frozen, _slot_setters, nullspace, pack_row, rref
+from .linalg import (
+    Mat,
+    Subspace,
+    _check_prime,
+    _Frozen,
+    _slot_setters,
+    nullspace,
+    pack_row,
+    rref,
+    unpack_row,
+)
 
 SUBMODULE_DIM_CAP = 12
 # Lines of F_p^d enumerated per vertex by all_submodules; 2^12 - 1 is a
@@ -353,31 +363,13 @@ def _hom_system(m: Rep, n: Rep) -> tuple[Mat, tuple[int, ...]]:
         ma, na = m.mats[idx], n.mats[idx]
         for r in range(n.dims[t]):
             for c in range(m.dims[s]):
-                if p == 2:
-                    row = 0
-                    for k in range(m.dims[t]):
-                        if ma.entry(k, c):
-                            row ^= 1 << (offs[t] + r * m.dims[t] + k)
-                    for k in range(n.dims[s]):
-                        if na.entry(r, k):
-                            row ^= 1 << (offs[s] + k * m.dims[s] + c)
-                    rows.append(row)
-                else:
-                    row = [0] * total
-                    for k in range(m.dims[t]):
-                        row[offs[t] + r * m.dims[t] + k] = (
-                            row[offs[t] + r * m.dims[t] + k] + ma.entry(k, c)
-                        ) % p
-                    for k in range(n.dims[s]):
-                        row[offs[s] + k * m.dims[s] + c] = (
-                            row[offs[s] + k * m.dims[s] + c] - na.entry(r, k)
-                        ) % p
-                    rows.append(tuple(row))
-    if p == 2:
-        sys_mat = Mat(2, len(rows), total, tuple(rows))
-    else:
-        sys_mat = Mat(p, len(rows), total, tuple(rows))
-    return sys_mat, tuple(offs)
+                row = [0] * total
+                for k in range(m.dims[t]):
+                    row[offs[t] + r * m.dims[t] + k] += ma.entry(k, c)
+                for k in range(n.dims[s]):
+                    row[offs[s] + k * m.dims[s] + c] -= na.entry(r, k)
+                rows.append(pack_row(p, row))
+    return Mat(p, len(rows), total, tuple(rows)), tuple(offs)
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
@@ -491,11 +483,8 @@ def quotient(ambient: Rep, s: SubRep) -> tuple[Rep, Morphism]:
         rows = []
         for j in range(ambient.dims[v]):
             unit = pack_row(p, [1 if t == j else 0 for t in range(ambient.dims[v])])
-            reduced = sp.reduce(unit)
-            if p == 2:
-                rows.append([(reduced >> c) & 1 for c in nonpiv])
-            else:
-                rows.append([reduced[c] for c in nonpiv])
+            reduced = unpack_row(p, sp.reduce(unit), ambient.dims[v])
+            rows.append([reduced[c] for c in nonpiv])
         # rows[j] is the image of e_j; the projection matrix is its transpose
         proj = Mat.from_rows(p, [[rows[j][i] for j in range(ambient.dims[v])] for i in range(len(nonpiv))],
                              ncols=ambient.dims[v])
@@ -573,7 +562,7 @@ def generated_submodule(m: Rep, generators: Iterable[tuple[int, Sequence[int]]])
     p = alg.p
     spaces = [Subspace.zero(p, d) for d in m.dims]
     for v, vec in generators:
-        packed = vec if (p == 2 and isinstance(vec, int)) else pack_row(p, vec)
+        packed = vec if isinstance(vec, int) else pack_row(p, vec)
         line = Subspace.from_matrix_rows(Mat(p, 1, m.dims[v], (packed,)))
         spaces[v] = spaces[v].add(line)
     changed = True

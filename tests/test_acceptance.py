@@ -27,7 +27,6 @@ from subcat.lattices import (
     _ext_violation,
     _image_violation,
     enumerate_family,
-    enumerate_ie_by_intersection,
     hasse,
     is_closed,
     relations_report,
@@ -145,7 +144,7 @@ def test_criterion_04_ie_equals_meet_of_closures(cats):
             meet = tors_closure(s).intersect(torf_closure(s)).bits
             assert ie_by_letters == (meet == bits), (name, bits)
             assert is_closed("ie", s)[0] == ie_by_letters
-        inter = enumerate_ie_by_intersection(cat)
+        inter = enumerate_family(cat, "ie")
         brute = enumerate_family(cat, "ie", "bruteforce")
         assert inter.bitsets() == brute.bitsets()
     elapsed = time.perf_counter() - t0

@@ -8,13 +8,9 @@ import pytest
 
 from subcat.catalog import (
     build_builtin,
-    composition_factors,
-    ext_middle_terms,
     find_nontrivial_idempotent,
-    identify,
     load_catalog,
     mid_add,
-    opposite_catalog,
 )
 from subcat.errors import (
     CatalogError,
@@ -123,7 +119,7 @@ def test_ext_split_always_present(a2, a3, u3):
 
 
 def test_ext_c_a_split_only(a2):
-    assert ext_middle_terms(a2, 2, 0) == frozenset({(0, 2)})
+    assert a2.ext_middle_terms(2, 0) == frozenset({(0, 2)})
 
 
 def test_ext_factors_additive(a2, a3, u3):
@@ -164,7 +160,7 @@ def test_cohomologous_thetas_isomorphic(u3):
 
 
 def test_identify_zero(a2):
-    assert identify(a2, Rep.zero(a2.algebra)) == ()
+    assert a2.identify(Rep.zero(a2.algebra)) == ()
 
 
 def test_identify_extension_middle(a2):
@@ -175,7 +171,7 @@ def test_identify_extension_middle(a2):
 def test_identify_double(a2):
     a_rep = a2.indecs[0]
     m = direct_sum(a2.algebra, [a_rep, a_rep]).rep
-    assert identify(a2, m) == (0, 0)
+    assert a2.identify(m) == (0, 0)
 
 
 def test_identify_additive(a2, a3, u3):
@@ -186,7 +182,7 @@ def test_identify_additive(a2, a3, u3):
             mid2 = tuple(sorted(rng.choices(range(cat.n), k=rng.randrange(0, 3))))
             x, y = cat.rep_of(mid1), cat.rep_of(mid2)
             s = direct_sum(cat.algebra, [x, y]).rep
-            assert identify(cat, s) == mid_add(mid1, mid2)
+            assert cat.identify(s) == mid_add(mid1, mid2)
 
 
 def test_identify_roundtrip_shuffled(u3):
@@ -197,22 +193,22 @@ def test_identify_roundtrip_shuffled(u3):
     assert g.mul(ginv) == Mat.identity(2, 3)
     cand = Rep(u3.algebra, (3,), (g.mul(m.mats[0]).mul(ginv),))
     assert validate(cand) is None
-    assert identify(u3, cand) == (0, 1)
+    assert u3.identify(cand) == (0, 1)
 
 
 # -- composition factors ---------------------------------------------------------------
 
 
 def test_factors_b(a2):
-    assert names_of(a2, composition_factors(a2, a2.indecs[1])) == ["A", "C"]
+    assert names_of(a2, a2.composition_factors(a2.indecs[1])) == ["A", "C"]
 
 
 def test_factors_zero(a2):
-    assert composition_factors(a2, Rep.zero(a2.algebra)) == ()
+    assert a2.composition_factors(Rep.zero(a2.algebra)) == ()
 
 
 def test_factors_uniserial(u3):
-    assert composition_factors(u3, u3.indecs[2]) == (0, 0, 0)
+    assert u3.composition_factors(u3.indecs[2]) == (0, 0, 0)
 
 
 def test_simple_counts(a3, u3):
@@ -224,21 +220,21 @@ def test_simple_counts(a3, u3):
 
 
 def test_opposite_uniserial_self_dual(u3):
-    op = opposite_catalog(u3)
+    op = u3.opposite()
     assert op.algebra == u3.algebra
     for i in range(u3.n):
         assert is_isomorphic(op.indecs[i], u3.indecs[i])
 
 
 def test_opposite_a2_reverses(a2):
-    op = opposite_catalog(a2)
+    op = a2.opposite()
     arrow = op.algebra.arrows[0]
     assert (arrow.source, arrow.target) == (1, 0)
     assert op.names == a2.names
 
 
 def test_opposite_involution(a2):
-    back = opposite_catalog(opposite_catalog(a2))
+    back = a2.opposite().opposite()
     assert back.algebra == a2.algebra
     for i in range(a2.n):
         assert back.indecs[i] == a2.indecs[i]
@@ -395,7 +391,7 @@ def test_partial_catalog_identify_unknown_sum(tmp_path):
     vertex1_simple = Rep(cat.algebra, (1, 0), (Mat.zeros(2, 0, 1),))
     stray = direct_sum(cat.algebra, [cat.indecs[0], vertex1_simple]).rep
     with pytest.raises(UnknownModule):
-        identify(cat, stray)
+        cat.identify(stray)
 
 
 def test_load_rejects_stray_keys(tmp_path):

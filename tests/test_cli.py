@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output formats, exit codes, error paths."""
 
 import json
+import time
 
 import pytest
 
@@ -347,6 +348,17 @@ def test_large_prime_enumerates_all_families(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", *args, "--kind", "all")
     assert code == 0
     assert [line.split(" | ")[-1] for line in out.splitlines()[2:]] == ["2"] * 7
+
+
+@pytest.mark.parametrize("field_char", [10**400, 2**61 - 1])
+def test_huge_modulus_is_an_input_error(tmp_path, capsys, field_char):
+    """A field_char of 2^31 or more is refused at once, before any trial division."""
+    args = file_catalog_args(tmp_path, {"field_char": field_char, "vertices": ["1"]}, S1)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "catalog", *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "modulus is too large" in err
 
 
 @pytest.mark.parametrize("error", [ValueError, AttributeError])

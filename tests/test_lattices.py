@@ -10,7 +10,6 @@ from subcat.lattices import (
     KINDS,
     CheckConfig,
     enumerate_family,
-    enumerate_ie_by_intersection,
     hasse,
     hasse_to_dot,
     is_closed,
@@ -122,7 +121,7 @@ def test_a3_tors_torf_14(a3):
 
 
 def test_ie_by_intersection(a2):
-    inter = enumerate_ie_by_intersection(a2)
+    inter = enumerate_family(a2, "ie")
     brute = enumerate_family(a2, "ie", "bruteforce")
     assert inter.bitsets() == brute.bitsets()
 

@@ -4,9 +4,20 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcat.errors import ShapeError
-from subcat.linalg import Mat, Subspace, nullspace, rref, solve
+from subcat.linalg import (
+    Mat,
+    Subspace,
+    _check_prime,
+    _pivot_insert,
+    _reduced_rows,
+    nullspace,
+    rref,
+    solve,
+)
 
 
 def span_set(m: Mat) -> set:
@@ -216,3 +227,88 @@ def test_reduce_and_coords():
     assert u.has_vector(vec)
     assert u.coords(vec) == (1, 1)
     assert u.reduce(vec) == 0
+
+
+# -- one elimination, against the column sweep ------------------------------
+
+
+def column_sweep_rref(p, entries, ncols):
+    """Reference RREF on residue lists: pivot on each column in turn, clear it everywhere else.
+
+    Returns the reduced rows (zero rows last), the rank and the pivot columns.
+    """
+    work = [list(row) for row in entries]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = pow(work[r][col], p - 2, p)
+        work[r] = [e * inv % p for e in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                c = work[i][col]
+                work[i] = [(a - c * b) % p for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return work[:r] + [[0] * ncols] * (len(work) - r), r, tuple(pivots)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, ncols, entries) up to 8x8 over F_2, F_3, F_5, about half the entries zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(1, p - 1))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return p, ncols, draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_elimination_matches_column_sweep(case, data):
+    p, ncols, entries = case
+    m = Mat.from_rows(p, entries, ncols)
+    reduced, rank, pivots = column_sweep_rref(p, entries, ncols)
+    ech = rref(m)
+    assert (ech.matrix.to_lists(), ech.rank, ech.pivots) == (reduced, rank, pivots)
+
+    basis = Mat.from_rows(p, reduced[:rank], ncols)
+    assert _reduced_rows(p, m.rows) == basis.rows
+    span = Subspace.from_matrix_rows(m)
+    assert span.basis == basis and span.pivots == pivots
+    k = data.draw(st.integers(0, len(entries)))
+    top = Subspace.from_matrix_rows(Mat.from_rows(p, entries[:k], ncols))
+    bottom = Subspace.from_matrix_rows(Mat.from_rows(p, entries[k:], ncols))
+    assert top.add(bottom) == span
+
+    piv: dict = {}
+    ranks = [column_sweep_rref(p, entries[:i], ncols)[1] for i in range(len(entries) + 1)]
+    for i, row in enumerate(m.rows):
+        assert _pivot_insert(p, piv, row) == (ranks[i + 1] > ranks[i])
+    assert len(piv) == rank
+
+
+# -- the modulus check --------------------------------------------------------
+
+
+def test_modulus_must_be_prime():
+    with pytest.raises(ShapeError, match="modulus 4 is not prime"):
+        Mat.zeros(4, 1, 1)
+
+
+def test_modulus_must_be_below_2_to_the_31():
+    assert Mat.zeros(2**31 - 1, 1, 1).rows == ((0,),)
+    for p in (2**31 + 11, 2**61 - 1, 10**400):
+        with pytest.raises(ShapeError, match="too large"):
+            Mat.zeros(p, 1, 1)
+
+
+def test_prime_check_runs_once_per_modulus():
+    _check_prime.cache_clear()
+    for _ in range(3):
+        Mat.zeros(1000003, 1, 1)
+        Mat.identity(1000003, 2)
+    assert _check_prime.cache_info().misses == 1
