@@ -5,10 +5,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .catalog import Catalog, build_builtin, load_catalog
+from .catalog import Catalog, build_builtin
 from .closures import (
     SubcatBits,
     chain_certificate,
@@ -71,15 +70,23 @@ class RunConfig(NamedTuple):
     def load(self) -> tuple[Catalog, str]:
         if self.builtin is not None:
             return build_builtin(self.builtin), self.builtin
+        from pathlib import Path
+
+        from .files import load_catalog
+
         module_files = sorted(Path(self.modules).glob("*.json"))
         return load_catalog(self.algebra, module_files), Path(self.algebra).stem
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SubcatError(f"cannot write {cfg.out}: {exc.strerror or exc}") from None
 
 
 def _emit_json(cfg: RunConfig, data) -> None:

@@ -11,6 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
+from subcat._kernel_search import _ext_violation, _image_violation
 from subcat.catalog import build_builtin
 from subcat.closures import (
     SubcatBits,
@@ -24,8 +25,6 @@ from subcat.closures import (
 from subcat.lattices import (
     KINDS,
     CheckConfig,
-    _ext_violation,
-    _image_violation,
     enumerate_family,
     hasse,
     is_closed,

@@ -9,7 +9,6 @@ import pytest
 from subcat.catalog import (
     build_builtin,
     find_nontrivial_idempotent,
-    load_catalog,
     mid_add,
 )
 from subcat.errors import (
@@ -19,6 +18,7 @@ from subcat.errors import (
     EmptyCatalog,
     ParseError,
 )
+from subcat.files import load_catalog
 from subcat.linalg import Mat
 from subcat.rep import Rep, direct_sum, hom_dim, is_isomorphic, validate
 

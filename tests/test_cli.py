@@ -361,6 +361,47 @@ def test_huge_modulus_is_an_input_error(tmp_path, capsys, field_char):
     assert err.count("\n") == 1 and "modulus is too large" in err
 
 
+def test_five_thousand_digit_integer_is_a_parse_error(tmp_path, capsys):
+    """json refuses an integer literal past 4,300 digits with a plain ValueError."""
+    args = file_catalog_args(tmp_path, {"vertices": ["1"]}, S1)
+    (tmp_path / "algebra.json").write_text('{"field_char": ' + "7" * 5000 + ', "vertices": ["1"]}')
+    code, out, err = run(capsys, "catalog", *args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "algebra.json: cannot decode (" in err
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    args = file_catalog_args(tmp_path, {"vertices": ["1"]}, S1)
+    (tmp_path / "mods" / "S1.json").write_bytes(b'{"dims": {"1": "\xff"}}')
+    code, out, err = run(capsys, "catalog", *args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "S1.json: cannot decode ('utf-8' codec" in err
+
+
+def test_algebra_naming_a_directory_is_a_parse_error(tmp_path, capsys):
+    args = file_catalog_args(tmp_path, {"vertices": ["1"]}, S1)
+    code, out, err = run(capsys, "catalog", "--algebra", str(tmp_path / "mods"), *args[2:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"{tmp_path / 'mods'}: cannot read (" in err
+
+
+def test_missing_file_and_json_syntax_keep_their_messages(tmp_path, capsys):
+    args = file_catalog_args(tmp_path, {"vertices": ["1"]}, S1)
+    code, _, err = run(capsys, "catalog", "--algebra", str(tmp_path / "none.json"), *args[2:])
+    assert code == 2 and err == f"error: {tmp_path / 'none.json'}: no such file\n"
+    (tmp_path / "algebra.json").write_text('{"field_char": 2,\n "vertices": [1,]}')
+    code, _, err = run(capsys, "catalog", *args)
+    assert code == 2 and err == f"error: {tmp_path / 'algebra.json'}:2:17: Expecting value\n"
+
+
+@pytest.mark.parametrize("target", ["missing/x.txt", "."])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "enumerate", "--builtin", "a2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {path}: ")
+
+
 @pytest.mark.parametrize("error", [ValueError, AttributeError])
 def test_uncaught_exception_is_one_line_with_exit_4(monkeypatch, capsys, error):
     def broken(cfg, kind):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from subcat.catalog import Catalog, build_builtin, load_catalog
+from subcat.catalog import Catalog, build_builtin
 from subcat.errors import UnknownModule
+from subcat.files import load_catalog
 from subcat.linalg import Subspace, unpack_row
 from subcat.rep import validate
 

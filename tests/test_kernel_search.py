@@ -5,10 +5,11 @@ from itertools import product
 
 import pytest
 
-from subcat import lattices
-from subcat.catalog import build_builtin, load_catalog
+from subcat import _kernel_search
+from subcat.catalog import build_builtin
 from subcat.closures import SubcatBits
 from subcat.errors import CapExceeded, UnknownModule
+from subcat.files import load_catalog
 from subcat.lattices import KINDS, enumerate_family, is_closed
 from subcat.rep import hom_basis, kernel, morphism_from_coeffs
 
@@ -53,7 +54,7 @@ def test_kernel_classes_match_materialized_kernels(descriptor, p, monkeypatch):
         raise AssertionError("a complete catalog decodes every kernel from its ranks")
 
     # on a complete catalog, every decode succeeds and no kernel is built
-    monkeypatch.setattr(lattices, "_materialized_kernel_classes", no_kernel_modules)
+    monkeypatch.setattr(_kernel_search, "_materialized_kernel_classes", no_kernel_modules)
     assert_keys_match_reference(build_builtin(descriptor, p=p))
 
 
@@ -64,7 +65,7 @@ def test_kernel_classes_match_on_incomplete_catalog(tmp_path):
 
 
 def test_kernel_search_cap_message(monkeypatch):
-    monkeypatch.setattr(lattices, "KERNEL_ENUM_CAP", 1)
+    monkeypatch.setattr(_kernel_search, "KERNEL_ENUM_CAP", 1)
     cat = build_builtin("uniserial:3")
     with pytest.raises(CapExceeded, match="exceeds the kernel search budget"):
         is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))

@@ -7,8 +7,9 @@ from math import comb
 import pytest
 
 from subcat import catalog, linalg, rep
-from subcat.catalog import Catalog, build_builtin, is_brick, load_catalog
+from subcat.catalog import Catalog, build_builtin, is_brick
 from subcat.closures import SubcatBits, serre_closure, torf_closure, tors_closure
+from subcat.files import load_catalog
 from subcat.lattices import KINDS, _perp_operator, _table_closure, enumerate_family
 from subcat.linalg import Mat
 from subcat.rep import Algebra, Rep, hom_basis

@@ -16,9 +16,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from subcat.catalog import load_algebra, load_module
 from subcat.cli import main
 from subcat.errors import SubcatError
+from subcat.files import load_algebra, load_module
 
 VALID_ALGEBRA = {
     "field_char": 3,

@@ -14,15 +14,8 @@ from subcat import cli
 from subcat.catalog import build_builtin, mid_counts, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
-from subcat.lattices import (
-    KINDS,
-    CheckConfig,
-    _kernel_classes,
-    _kernel_violation,
-    _mid_label,
-    _packing,
-    enumerate_family,
-)
+from subcat._kernel_search import _kernel_classes, _kernel_violation, _mid_label, _packing
+from subcat.lattices import KINDS, CheckConfig, enumerate_family
 from subcat.linalg import Subspace
 from subcat.rep import all_submodules, hom_basis, image, kernel, quotient, sub_to_rep
 
