@@ -1,9 +1,12 @@
-"""The letter checks behind ``is_closed`` for wide, ice and ike: the bounded kernel oracle.
+"""The letter checks behind ``is_closed`` for wide, ice, ike and ie: the bounded kernel oracle.
 
-``lattices.is_closed`` imports this module on its first wide, ice or ike
-check, so a process that only builds catalogs or enumerates families
-through the lattice identities never loads it.  The checks, per closure
-condition:
+``lattices.is_closed`` imports this module on its first wide, ice, ike or
+ie check, so a process that only builds catalogs or enumerates families
+through the lattice identities never loads it.  ie is checked by its
+definition, closure under images and extensions, so strategy
+``bruteforce`` tests the source paper's theorem (IE-closed = T meet F)
+against the lattice path instead of restating it.  The checks, per
+closure condition:
 
 * extensions: exact on indecomposable pairs via the extension table.
 * images: exact with no caps.  The image of a map between sums of members
@@ -33,18 +36,30 @@ condition:
   marked complete builds each distinct kernel and identifies it with that
   profile, so a summand outside the catalog still raises UnknownModule.
 * cokernels: the kernel search on the opposite catalog.
+
+The mu bounds, which cap the copies of each indecomposable in the kernel
+search, serve only this search: they are built on its first step and
+memoized on the catalog, so enumeration never builds them.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .catalog import Catalog, ModuleId, mid_counts
+from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits, mid_counts
 from .closures import SubcatBits, fac_contains, sub_contains
 from .errors import CapExceeded
-from .linalg import _combine, _pivot_rows, _reduced_rows, pack_row
-from .rep import direct_sum, flat_entries, kernel, morphism_from_coeffs, sub_to_rep
+from .linalg import Mat, Subspace, _combine, _pivot_rows, _reduced_rows, pack_row
+from .rep import (
+    direct_sum,
+    flat_entries,
+    kernel,
+    morphism_coords,
+    morphism_from_coeffs,
+    sub_to_rep,
+)
 
 if TYPE_CHECKING:
     from .lattices import CheckConfig
@@ -53,13 +68,13 @@ KERNEL_ENUM_CAP = 1 << 16
 
 
 def letter_violation(kind: str, s: SubcatBits, cfg: CheckConfig) -> Optional[str]:
-    """The first failing check of a wide, ice or ike candidate, or None if all pass.
+    """The first failing check of a wide, ice, ike or ie candidate, or None if all pass.
 
-    Extensions first; then images for ice and ike, kernels for wide and
+    Extensions first; then images for ice, ike and ie, kernels for wide and
     ike, and cokernels for wide and ice.
     """
     witness = _ext_violation(s)
-    if witness is None and kind in ("ice", "ike"):
+    if witness is None and kind in ("ice", "ike", "ie"):
         witness = _image_violation(s)
     if witness is None and kind in ("wide", "ike"):
         witness = _kernel_violation(s, cfg)
@@ -234,6 +249,96 @@ def _materialized_kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozen
     return frozenset(classes)
 
 
+# -- mu bounds ----------------------------------------------------------------------
+
+
+def _mu_tables(cat: Catalog) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The mu table and the saturation, built on the first kernel search of the catalog.
+
+    The saturation of i is its largest mu bound into any catalog member, at
+    least 1.
+    """
+    memo = cat._closure_memo
+    if "mu" not in memo:
+        n = cat.n
+        mu = tuple(tuple(_mu_bound(cat, i, j) for j in range(n)) for i in range(n))
+        memo["mu"] = (mu, tuple(max(1, max(row)) for row in mu))
+    return memo["mu"]
+
+
+def _mu_bound(cat: Catalog, i: int, j: int) -> int:
+    """How many copies of indec_i a morphism into indec_j can need.
+
+    Any map from indec_i^m into indec_j can be column-reduced by an
+    automorphism of the source so that at most mu copies act nontrivially,
+    where mu bounds the generator count of every End(indec_i)-submodule of
+    Hom(indec_i, indec_j).  dim Hom is always a safe fallback.
+    """
+    homs = cat.hom_pair_basis(i, j)
+    h = len(homs)
+    if h <= 1:
+        return h
+    p = cat.algebra.p
+    ebasis = cat.hom_pair_basis(i, i)
+    de = len(ebasis)
+    if de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
+        return h
+    src = cat.indecs[i]
+
+    def action(e) -> Mat:  # g -> g.e on Hom(X_i, X_j), in coordinates
+        return Mat.from_rows(p, [list(morphism_coords(homs, g.compose(e))) for g in homs], ncols=h)
+
+    nonunits = [coeffs for coeffs, _ in _nonunits(src, ebasis, END_ENUM_CAP, "radical")]
+    rad = Subspace.span(p, de, nonunits)
+    if p**rad.dim != len(nonunits) + 1:  # the non-units and 0 are not a subspace
+        return h
+    residue_dim = de - rad.dim
+    actions = [action(e) for e in ebasis]
+    rad_actions = [action(morphism_from_coeffs(ebasis, rad.basis.row_entries(r), src, src))
+                   for r in range(rad.dim)]
+    best = 1
+    for w in _enumerate_subspaces(p, h):
+        if w.dim == 0 or not all(
+                w.contains(Subspace.from_matrix_rows(w.basis.mul(act))) for act in actions):
+            continue
+        wrad = Subspace.zero(p, h)
+        for act in rad_actions:
+            wrad = wrad.add(Subspace.from_matrix_rows(w.basis.mul(act)))
+        over = w.dim - wrad.dim
+        if over % residue_dim:
+            return h
+        best = max(best, over // residue_dim)
+    return best
+
+
+@cache
+def _enumerate_subspaces(p: int, dim: int) -> tuple[Subspace, ...]:
+    """All subspaces of F_p^dim by breadth-first span growth (small dim only).
+
+    Memoized per (p, dim): `_mu_bound` asks for it once per Hom pair, and its
+    guard keeps dim at most 5, so there are few keys; the values are immutable.
+    """
+    zero = Subspace.zero(p, dim)
+    vectors = [pack_row(p, v) for v in product(range(p), repeat=dim) if any(v)]
+    seen = {zero.basis.rows: zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for sp in frontier:
+            for vec in vectors:
+                if sp.has_vector(vec):
+                    continue
+                grown = sp.add(Subspace.from_matrix_rows(Mat(p, 1, dim, (vec,))))
+                if grown.basis.rows not in seen:
+                    seen[grown.basis.rows] = grown
+                    nxt.append(grown)
+        frontier = nxt
+    return tuple(seen.values())
+
+
+# -- packed search states ---------------------------------------------------------------
+
+
 class _Packing(NamedTuple):
     """Multisets of catalog indices as ints, one fixed-width count field per index.
 
@@ -266,14 +371,14 @@ def _packing(cat: Catalog) -> _Packing:
     """
     memo = cat._closure_memo
     if "packing" not in memo:
-        n, sat = cat.n, cat.saturation
+        n, (mu, sat) = cat.n, _mu_tables(cat)
         dims = [m.total_dim for m in cat.indecs]
-        core_dim = max(sum(cat.mu_bound(i, b) * dims[i] for i in range(n)) for b in range(n))
+        core_dim = max(sum(mu[i][b] * dims[i] for i in range(n)) for b in range(n))
         width = (max(sat) + 1 + core_dim).bit_length() + 1
         unit = tuple(1 << k * width for k in range(n))
         memo["packing"] = _Packing(
             width, unit, sum(u << width - 1 for u in unit),
-            tuple(sum(cat.mu_bound(i, b) * unit[i] for i in range(n)) for b in range(n)),
+            tuple(sum(mu[i][b] * unit[i] for i in range(n)) for b in range(n)),
             sum((sat[k] + 1) * unit[k] for k in range(n)),
         )
     return memo["packing"]
@@ -312,7 +417,8 @@ def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
     cat = s.catalog
     unit = _packing(cat).unit
     dims = [m.total_dim for m in cat.indecs]
-    caps = [min(cfg.mult_cap, cat.saturation[i] + 1) for i in range(cat.n)]
+    sat = _mu_tables(cat)[1]
+    caps = [min(cfg.mult_cap, sat[i] + 1) for i in range(cat.n)]
     members = s.indices()
     rest = [sum(caps[i] * dims[i] for i in members[t:]) for t in range(len(members) + 1)]
     gens = []

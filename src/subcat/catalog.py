@@ -22,19 +22,14 @@ Hom(X_k, X_j) into Ext^1(X_k, X_i).  With the dimension vector, that profile
 decodes the middle on a complete catalog, so no middle term is assembled or
 solved for Hom.  A user catalog, or a failed decode, assembles the middle and
 identifies it with that profile, so a missing summand raises UnknownModule.
-
-The mu bounds (how many copies of an indecomposable a morphism into another
-can need) serve only the bounded kernel search, so they are built on its
-first use, not at catalog build.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
 from math import gcd
 from operator import add, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -48,7 +43,6 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    Subspace,
     _combine,
     _pivot_insert,
     _pivot_rows,
@@ -62,7 +56,6 @@ from .rep import (
     Morphism,
     Rep,
     SubRep,
-    all_submodules,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -70,7 +63,6 @@ from .rep import (
     is_isomorphic,
     kernel,
     morphism_from_coeffs,
-    quotient,
     sub_to_rep,
     validate,
 )
@@ -80,6 +72,8 @@ ModuleId = tuple  # sorted tuple of catalog indices, with multiplicity
 EXT_COSET_CAP = 16
 ISO_SEARCH_CAP = 1 << 16
 END_ENUM_CAP = 1 << 16
+# Most indecomposables a builtin may have: an:10 has 55, and an:11 (66) is refused.
+BUILTIN_SIZE_CAP = 64
 
 
 def mid_from_counts(counts: dict[int, int]) -> ModuleId:
@@ -151,8 +145,6 @@ class Catalog:
         self.ext_table: dict[tuple[int, int], frozenset] = {
             (i, j): frozenset(self._ext_middles(i, j, spaces)) for i in range(n) for j in range(n)
         }
-        self._mu_tables: Optional[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = None
-        self._subq_cache: dict[int, frozenset[int]] = {}
         self._closure_memo: dict = {}
         self._opposite: Optional["Catalog"] = None
 
@@ -169,14 +161,6 @@ class Catalog:
 
     def hom_pair_basis(self, i: int, j: int) -> list[Morphism]:
         return self._hom_bases[(i, j)]
-
-    def mu_bound(self, i: int, j: int) -> int:
-        return self._mu_and_saturation()[0][i][j]
-
-    @property
-    def saturation(self) -> tuple[int, ...]:
-        """Per indecomposable, the largest mu bound into any catalog member (at least 1)."""
-        return self._mu_and_saturation()[1]
 
     def rep_of(self, mid: ModuleId) -> Rep:
         """Assembled direct sum of the multiset, memoized."""
@@ -210,8 +194,7 @@ class Catalog:
         if trusted_indecomposable:
             return
         for k, m in enumerate(self.indecs):
-            e = find_nontrivial_idempotent(m, END_ENUM_CAP)
-            if e is not None:
+            if _idempotent(m, self._hom_bases[(k, k)]) is not None:
                 raise Decomposable(k, f"module {self.names[k]} splits: End contains an idempotent")
 
     def _map_vertex_simples(self) -> tuple[Optional[int], ...]:
@@ -505,93 +488,6 @@ class Catalog:
             out[k] = out.get(k, 0) + d
         return mid_from_counts(out)
 
-    # -- submodule and quotient classes ------------------------------------------------
-
-    def subquotient_indices(self, i: int) -> frozenset[int]:
-        """Catalog indices appearing in submodules or quotients of indec_i."""
-        if i not in self._subq_cache:
-            found: set[int] = set()
-            m = self.indecs[i]
-            for s in all_submodules(m):
-                found.update(self.identify_sub(s))
-                q, _ = quotient(m, s)
-                found.update(self.identify(q))
-            self._subq_cache[i] = frozenset(found)
-        return self._subq_cache[i]
-
-    # -- source multiplicity reduction bounds -------------------------------------------
-
-    def _mu_and_saturation(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """The mu table and the saturation, built on first use by the kernel search.
-
-        Concurrent first callers may each build them; both are pure functions
-        of the catalog, and one assignment publishes the pair.
-        """
-        if self._mu_tables is None:
-            n = self.n
-            mu = tuple(tuple(self._mu_bound(i, j) for j in range(n)) for i in range(n))
-            saturation = tuple(max(1, max(row)) for row in mu)
-            self._mu_tables = (mu, saturation)
-        return self._mu_tables
-
-    def _mu_bound(self, i: int, j: int) -> int:
-        """How many copies of indec_i a morphism into indec_j can need.
-
-        Any map from indec_i^m into indec_j can be column-reduced by an
-        automorphism of the source so that at most mu copies act nontrivially,
-        where mu bounds the generator count of every End(indec_i)-submodule of
-        Hom(indec_i, indec_j).  dim Hom is always a safe fallback.
-        """
-        h = len(self._hom_bases[(i, j)])
-        if h <= 1:
-            return h
-        p = self.algebra.p
-        ebasis = self._hom_bases[(i, i)]
-        de = len(ebasis)
-        if de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
-            return h
-        homs = self._hom_bases[(i, j)]
-        src = self.indecs[i]
-        from .rep import morphism_coords
-
-        actions = []
-        for e in ebasis:
-            rows = [morphism_coords(homs, homs[k].compose(e)) for k in range(h)]
-            actions.append(Mat.from_rows(p, [list(r) for r in rows], ncols=h))
-        nonunits = []
-        for coeffs in product(range(p), repeat=de):
-            f = morphism_from_coeffs(ebasis, coeffs, src, src)
-            if not all(rref(c).rank == d for c, d in zip(f.comps, src.dims)):
-                nonunits.append(list(coeffs))
-        rad = Subspace.span(p, de, nonunits)
-        if p**rad.dim != len(nonunits):
-            return h
-        residue_dim = de - rad.dim
-        rad_actions = []
-        for r in range(rad.dim):
-            coeffs = rad.basis.row_entries(r)
-            acc = Mat.zeros(p, h, h)
-            for c, act in zip(coeffs, actions):
-                if c:
-                    acc = acc.add(act.scale(c))
-            rad_actions.append(acc)
-        best = 1
-        for w in _enumerate_subspaces(p, h):
-            if w.dim == 0:
-                continue
-            if not all(
-                w.contains(Subspace.from_matrix_rows(w.basis.mul(act))) for act in actions
-            ):
-                continue
-            wrad = Subspace.zero(p, h)
-            for act in rad_actions:
-                wrad = wrad.add(Subspace.from_matrix_rows(w.basis.mul(act)))
-            over = w.dim - wrad.dim
-            if over % residue_dim:
-                return h
-            best = max(best, over // residue_dim)
-        return best
-
     # -- opposite catalog ------------------------------------------------------------
 
     def opposite(self) -> "Catalog":
@@ -650,56 +546,45 @@ def _path_matrix_or_identity(rep: Rep, path: Sequence[int], endpoint: int) -> Ma
     return path_matrix(rep, path)
 
 
-def find_nontrivial_idempotent(m: Rep, cap: int = END_ENUM_CAP) -> Optional[Morphism]:
-    """A non-zero, non-identity idempotent endomorphism, if one exists.
+def _nonunits(m: Rep, basis: Sequence[Morphism], cap: int,
+              test: str) -> Iterator[tuple[tuple[int, ...], Morphism]]:
+    """(coefficients, map) for each nonzero endomorphism of m that is not invertible.
 
-    None at once when dim End = 1, since the only idempotents of k are 0
-    and 1.  Otherwise enumerates the endomorphism space; raises CapExceeded
-    when p^dim End exceeds the cap.
+    The one walk over End(m), behind the idempotent search, the brick test
+    and the radical of the mu bounds.  It runs over ``basis`` in coefficient
+    order; a map is invertible when it is at every vertex.  Nothing when
+    dim End = 1, since End = k then (or m = 0, with an empty basis).  Raises
+    CapExceeded, naming the test, when p^dim End exceeds the cap.
     """
-    if m.total_dim == 0:
-        return None
-    basis = hom_basis(m, m)
     if len(basis) == 1:
-        return None
+        return
     p = m.algebra.p
     if p ** len(basis) > cap:
-        raise CapExceeded(f"End space of dimension {len(basis)} exceeds idempotent search cap")
-    ident = Morphism.identity(m).comps
+        raise CapExceeded(f"End space of dimension {len(basis)} exceeds {test} cap")
     for coeffs in product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        e = morphism_from_coeffs(basis, coeffs, m, m)
-        if e.comps == ident:
-            continue
-        sq = tuple(c.mul(c2) for c, c2 in zip(e.comps, e.comps))
-        if sq == e.comps:
-            return e
-    return None
+        if any(coeffs):
+            f = morphism_from_coeffs(basis, coeffs, m, m)
+            if any(rref(c).rank < d for c, d in zip(f.comps, m.dims)):
+                yield coeffs, f
+
+
+def find_nontrivial_idempotent(m: Rep, cap: int = END_ENUM_CAP) -> Optional[Morphism]:
+    """A non-zero, non-identity idempotent endomorphism, if one exists: a non-unit e = e.e."""
+    return _idempotent(m, hom_basis(m, m), cap)
+
+
+def _idempotent(m: Rep, basis: Sequence[Morphism], cap: int = END_ENUM_CAP) -> Optional[Morphism]:
+    return next((e for _, e in _nonunits(m, basis, cap, "idempotent search")
+                 if e.compose(e) == e), None)
 
 
 def is_brick(m: Rep, cap: int = END_ENUM_CAP) -> bool:
-    """Is End(m) a division ring: is every nonzero endomorphism invertible?
+    """Is End(m) a division ring: is m nonzero with no nonzero non-unit endomorphism?"""
+    return _is_brick(m, hom_basis(m, m), cap)
 
-    dim End = 1 suffices but is not necessary, since End can be a field
-    F_{p^k}.  Otherwise enumerates the endomorphism space; raises
-    CapExceeded when p^dim End exceeds the cap.
-    """
-    if m.total_dim == 0:
-        return False
-    basis = hom_basis(m, m)
-    if len(basis) == 1:
-        return True
-    p = m.algebra.p
-    if p ** len(basis) > cap:
-        raise CapExceeded(f"End space of dimension {len(basis)} exceeds brick test cap")
-    for coeffs in product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        f = morphism_from_coeffs(basis, coeffs, m, m)
-        if any(rref(c).rank < d for c, d in zip(f.comps, m.dims)):
-            return False
-    return True
+
+def _is_brick(m: Rep, basis: Sequence[Morphism], cap: int = END_ENUM_CAP) -> bool:
+    return bool(basis) and next(_nonunits(m, basis, cap, "brick test"), None) is None
 
 
 def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
@@ -738,34 +623,6 @@ def _apply_inverse(a: Sequence[Sequence[int]], d: int, vec: Sequence[int]) -> Op
             return None
         out.append(q)
     return tuple(out)
-
-
-# -- subspace enumeration (for the mu bounds) -------------------------------------------
-
-
-@cache
-def _enumerate_subspaces(p: int, dim: int) -> tuple[Subspace, ...]:
-    """All subspaces of F_p^dim by breadth-first span growth (small dim only).
-
-    Memoized per (p, dim): `_mu_bound` asks for it once per Hom pair, and its
-    guard keeps dim at most 5, so there are few keys; the values are immutable.
-    """
-    zero = Subspace.zero(p, dim)
-    vectors = [pack_row(p, v) for v in product(range(p), repeat=dim) if any(v)]
-    seen = {zero.basis.rows: zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for sp in frontier:
-            for vec in vectors:
-                if sp.has_vector(vec):
-                    continue
-                grown = sp.add(Subspace.from_matrix_rows(Mat(p, 1, dim, (vec,))))
-                if grown.basis.rows not in seen:
-                    seen[grown.basis.rows] = grown
-                    nxt.append(grown)
-        frontier = nxt
-    return tuple(seen.values())
 
 
 # -- builtin catalogs --------------------------------------------------------------------
@@ -825,7 +682,9 @@ def build_builtin(descriptor: str, p: int = 2) -> Catalog:
     """Construct a builtin catalog from a descriptor string.
 
     Supported: ``a2``, ``a3``, ``an:<n>``, ``an:<n>:<word>`` with a word over
-    ``>``/``<``, and ``uniserial:<n>``.
+    ``>``/``<``, and ``uniserial:<n>``.  A catalog of more than
+    BUILTIN_SIZE_CAP indecomposables (n(n+1)/2 for ``an``, n for
+    ``uniserial``) raises CapExceeded before anything is built.
     """
     parts = descriptor.split(":")
     kind = parts[0].lower()
@@ -834,16 +693,22 @@ def build_builtin(descriptor: str, p: int = 2) -> Catalog:
     if kind == "a3" and len(parts) == 1:
         return _build_an(3, ">>", p)
     if kind == "an":
-        if len(parts) == 2:
-            n = _parse_int(parts[1], descriptor)
-            return _build_an(n, ">" * (n - 1), p)
-        if len(parts) == 3:
-            n = _parse_int(parts[1], descriptor)
-            return _build_an(n, parts[2], p)
-        raise ParseError(f"bad builtin descriptor {descriptor!r}")
+        if len(parts) not in (2, 3):
+            raise ParseError(f"bad builtin descriptor {descriptor!r}")
+        n = _parse_int(parts[1], descriptor)
+        _check_size(descriptor, max(n, 0) * (n + 1) // 2)
+        return _build_an(n, parts[2] if len(parts) == 3 else ">" * (n - 1), p)
     if kind == "uniserial" and len(parts) == 2:
-        return _build_uniserial(_parse_int(parts[1], descriptor), p)
+        n = _parse_int(parts[1], descriptor)
+        _check_size(descriptor, n)
+        return _build_uniserial(n, p)
     raise ParseError(f"unknown builtin descriptor {descriptor!r}")
+
+
+def _check_size(descriptor: str, size: int) -> None:
+    if size > BUILTIN_SIZE_CAP:
+        raise CapExceeded(f"builtin {descriptor} has {size} indecomposables, "
+                          f"over the cap of {BUILTIN_SIZE_CAP}")
 
 
 def _parse_int(text: str, context: str) -> int:

@@ -7,7 +7,7 @@ import random
 import sys
 from typing import NamedTuple, Optional
 
-from .catalog import Catalog, build_builtin
+from .catalog import BUILTIN_SIZE_CAP, Catalog, build_builtin
 from .closures import (
     SubcatBits,
     chain_certificate,
@@ -74,7 +74,11 @@ class RunConfig(NamedTuple):
 
         from .files import load_catalog
 
-        module_files = sorted(Path(self.modules).glob("*.json"))
+        modules = Path(self.modules)
+        if not modules.is_dir():
+            what = "not a directory" if modules.exists() else "no such directory"
+            raise ParseError(f"--modules {self.modules}: {what}")
+        module_files = sorted(modules.glob("*.json"))
         return load_catalog(self.algebra, module_files), Path(self.algebra).stem
 
 
@@ -334,7 +338,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    sp.add_argument("--builtin", help="builtin catalog: a2 | a3 | an:<n>[:<word>] | uniserial:<n>")
+    sp.add_argument("--builtin", help=(
+        "builtin catalog: a2 | a3 | an:<n>[:<word>] | uniserial:<n>; at most "
+        f"{BUILTIN_SIZE_CAP} indecomposables, n(n+1)/2 for an:<n> and n for uniserial:<n>"))
     sp.add_argument("--algebra", help="algebra presentation JSON file")
     sp.add_argument("--modules", help="directory of module JSON files (with --algebra)")
     sp.add_argument("--format", choices=formats, default="table")

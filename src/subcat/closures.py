@@ -363,6 +363,19 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
 # -- Serre closure -----------------------------------------------------------------------
 
 
+def _subquotient_indices(cat: Catalog, i: int) -> frozenset[int]:
+    """Catalog indices appearing in submodules or quotients of indec_i, memoized on the catalog."""
+    memo = cat._closure_memo.setdefault("subquotients", {})
+    if i not in memo:
+        found: set[int] = set()
+        m = cat.indecs[i]
+        for s in all_submodules(m):
+            found.update(cat.identify_sub(s))
+            found.update(cat.identify(quotient(m, s)[0]))
+        memo[i] = frozenset(found)
+    return memo[i]
+
+
 def serre_closure(c: SubcatBits) -> SubcatBits:
     """Least fixpoint adding subquotient classes and extension middle terms."""
     cat = c.catalog
@@ -371,7 +384,7 @@ def serre_closure(c: SubcatBits) -> SubcatBits:
         add = 0
         idxs = [i for i in range(cat.n) if (bits >> i) & 1]
         for i in idxs:
-            for k in cat.subquotient_indices(i):
+            for k in _subquotient_indices(cat, i):
                 add |= 1 << k
         for i in idxs:
             for j in idxs:

@@ -1,4 +1,4 @@
-"""Catalog build internals: the integer profile decoder and the lazily built mu bounds."""
+"""Catalog build internals: the integer profile decoder, and the mu bounds the kernel oracle builds."""
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcat._kernel_search import _mu_tables
 from subcat.catalog import _apply_inverse, _invert_over_rationals, build_builtin
 from subcat.closures import SubcatBits
 from subcat.lattices import KINDS, CheckConfig, enumerate_family, is_closed
@@ -158,26 +159,24 @@ PINNED_SATURATION = {
 
 def test_enumeration_never_builds_mu_bounds():
     cat = build_builtin("uniserial:5")
-    assert cat._mu_tables is None
     for kind in KINDS:
         enumerate_family(cat, kind)
-    assert cat._mu_tables is None
+    assert "mu" not in cat._closure_memo
 
 
 @pytest.mark.parametrize("descriptor", sorted(PINNED_MU))
 def test_kernel_search_builds_pinned_mu_bounds(descriptor):
     cat = build_builtin(descriptor)
-    assert cat._mu_tables is None
+    assert "mu" not in cat._closure_memo
     # small caps keep the search short; its first kernel step builds the whole table
     is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1), CheckConfig(mult_cap=1, dim_cap=4))
-    assert cat._mu_tables is not None
-    n = cat.n
-    assert tuple(tuple(cat.mu_bound(i, j) for j in range(n)) for i in range(n)) == PINNED_MU[descriptor]
-    assert cat.saturation == PINNED_SATURATION[descriptor]
+    assert cat._closure_memo["mu"] == (PINNED_MU[descriptor], PINNED_SATURATION[descriptor])
+    assert _mu_tables(cat) is cat._closure_memo["mu"]
 
 
 def test_concurrent_first_reads_agree():
     cat = build_builtin("uniserial:5")
     with ThreadPoolExecutor(max_workers=4) as pool:
-        sats = [f.result(timeout=60) for f in [pool.submit(lambda: cat.saturation) for _ in range(4)]]
+        futures = [pool.submit(lambda: _mu_tables(cat)[1]) for _ in range(4)]
+        sats = [f.result(timeout=60) for f in futures]
     assert sats == [PINNED_SATURATION["uniserial:5"]] * 4

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from subcat import cli
+from subcat import catalog, cli
 from subcat.cli import main
 
 
@@ -226,6 +226,41 @@ def test_negative_dimension_in_module_file(a2_files, capsys):
 def test_modules_without_algebra(capsys):
     code, _, err = run(capsys, "catalog", "--builtin", "a2", "--modules", "/nowhere")
     assert code == 2
+
+
+@pytest.mark.parametrize("make,what", [
+    (lambda tmp: tmp / "missing", "no such directory"),
+    (lambda tmp: tmp / "algebra.json", "not a directory"),
+])
+def test_bad_modules_path_is_named(tmp_path, capsys, make, what):
+    (tmp_path / "algebra.json").write_text('{"field_char": 2, "vertices": ["1"]}')
+    path = make(tmp_path)
+    code, out, err = run(capsys, "catalog", "--algebra", str(tmp_path / "algebra.json"),
+                         "--modules", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: --modules {path}: {what}\n"
+
+
+@pytest.mark.parametrize("descriptor", ["an:99999999", "an:60", "an:60:>", "uniserial:99999999"])
+def test_builtin_size_cap_refuses_before_building(monkeypatch, capsys, descriptor):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder was called")
+
+    monkeypatch.setattr(catalog, "_build_an", refuse)
+    monkeypatch.setattr(catalog, "_build_uniserial", refuse)
+    code, out, err = run(capsys, "catalog", "--builtin", descriptor)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and f"over the cap of {catalog.BUILTIN_SIZE_CAP}" in err
+
+
+@pytest.mark.parametrize("descriptor,n,size", [("an:8", 8, 36), ("uniserial:8", 8, 8),
+                                               ("an:10:" + ">" * 9, 10, 55)])
+def test_builtin_size_cap_admits_the_frontier(monkeypatch, descriptor, n, size):
+    built = []
+    monkeypatch.setattr(catalog, "_build_an", lambda n, word, p: built.append(n))
+    monkeypatch.setattr(catalog, "_build_uniserial", lambda n, p: built.append(n))
+    catalog.build_builtin(descriptor)
+    assert built == [n] and size <= catalog.BUILTIN_SIZE_CAP
 
 
 def file_catalog_args(tmp_path, algebra, modules):

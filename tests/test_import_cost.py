@@ -81,7 +81,7 @@ def test_cli_import_loads_the_traced_layers_only():
     (["verify", "--builtin", "a2"], ["_kernel_search"]),
 ])
 def test_command_loads(argv, extra):
-    """The kernel oracle loads on the first wide/ice/ike check, which only verify makes."""
+    """The kernel oracle loads on the first wide/ice/ike/ie check, which only verify makes."""
     assert loaded_by_command(argv) == sorted(CLI + extra)
 
 

@@ -7,8 +7,9 @@ from math import comb
 import pytest
 
 from subcat import catalog, linalg, rep
-from subcat.catalog import Catalog, build_builtin, is_brick
+from subcat.catalog import Catalog, build_builtin, find_nontrivial_idempotent, is_brick
 from subcat.closures import SubcatBits, serre_closure, torf_closure, tors_closure
+from subcat.errors import CapExceeded
 from subcat.files import load_catalog
 from subcat.lattices import KINDS, _perp_operator, _table_closure, enumerate_family
 from subcat.linalg import Mat
@@ -169,3 +170,17 @@ def test_uniserial_m2_is_not_a_brick():
     """End(M2) = k[x]/x^2 has the nonzero nilpotent x."""
     m2 = build_builtin("uniserial:2").indecs[1]
     assert not is_brick(m2)
+
+
+def test_endomorphism_walk_readers_on_edge_cases():
+    """The zero module, a split sum X + X, and both cap messages of the one End walk."""
+    cat = build_builtin("uniserial:2")
+    zero = Rep.zero(cat.algebra)
+    assert not is_brick(zero) and find_nontrivial_idempotent(zero) is None
+    split = rep.direct_sum(cat.algebra, [cat.indecs[1], cat.indecs[1]]).rep
+    e = find_nontrivial_idempotent(split)
+    assert e is not None and e.compose(e) == e and not is_brick(split)
+    with pytest.raises(CapExceeded, match="End space of dimension 2 exceeds brick test cap"):
+        is_brick(cat.indecs[1], cap=3)
+    with pytest.raises(CapExceeded, match="exceeds idempotent search cap"):
+        find_nontrivial_idempotent(split, cap=3)

@@ -1,5 +1,7 @@
 """Class checkers, family enumeration, Hasse diagrams, relations report."""
 
+from itertools import product
+
 import pytest
 
 from subcat.catalog import build_builtin
@@ -9,6 +11,7 @@ from subcat.rep import hom_basis, morphism_from_coeffs
 from subcat.lattices import (
     KINDS,
     CheckConfig,
+    Family,
     enumerate_family,
     hasse,
     hasse_to_dot,
@@ -212,6 +215,40 @@ def test_dot_output_golden(a2):
 }
 """
     assert dot == expected
+
+
+def reference_hasse_edges(family):
+    """Covers by their definition, no third member strictly between: the earlier triple loop."""
+    bits = [m.bits for m in family.members]
+    edges = []
+    for i, low in enumerate(bits):
+        for j, high in enumerate(bits):
+            if low == high or (low & ~high):
+                continue
+            if any(k != i and k != j and (low & ~bits[k]) == 0 and (bits[k] & ~high) == 0
+                   for k in range(len(bits))):
+                continue
+            edges.append((i, j))
+    edges.sort(key=lambda e: (e[1], e[0]))
+    return tuple(edges)
+
+
+SMALL_BUILTINS = ["a2", "a3", *(f"uniserial:{n}" for n in range(1, 5)),
+                  *(f"an:{n}:{''.join(w)}" for n in (2, 3, 4) for w in product("<>", repeat=n - 1))]
+
+
+@pytest.mark.parametrize("descriptor", SMALL_BUILTINS)
+def test_hasse_equals_triple_loop(descriptor):
+    cat = build_builtin(descriptor)
+    for kind in KINDS:
+        family = enumerate_family(cat, kind)
+        assert hasse(family).edges == reference_hasse_edges(family), kind
+
+
+def test_hasse_of_unsorted_members_keeps_node_order(a2):
+    family = enumerate_family(a2, "ie")
+    shuffled = Family("ie", a2, family.members[::-1])
+    assert hasse(shuffled).edges == reference_hasse_edges(shuffled)
 
 
 def test_dot_deterministic(a2):

@@ -1,9 +1,11 @@
-"""Module boundaries: only linalg knows the F_2 row format, and only linalg eliminates."""
+"""Module boundaries: only linalg knows the F_2 row format, only linalg eliminates, and
+each table that one oracle reads lives beside that oracle, not on the catalog."""
 
 import re
 from pathlib import Path
 
 import subcat
+from subcat.catalog import Catalog, build_builtin
 
 SRC = Path(subcat.__file__).parent
 
@@ -23,3 +25,31 @@ def test_lattices_defines_no_elimination():
     text = (SRC / "lattices.py").read_text()
     assert re.findall(r".*%\s*p\b.*", text) == []
     assert "_pivot_insert" not in text
+
+
+def test_catalog_defines_no_oracle_tables():
+    """The mu bounds live in _kernel_search and the subquotient table in closures."""
+    text = (SRC / "catalog.py").read_text()
+    assert re.findall(r"def \w*(mu|saturation|subspaces|subquotient)\w*", text) == []
+    cat = build_builtin("a2")
+    for name in ("mu_bound", "saturation", "subquotient_indices", "_mu_tables", "_subq_cache"):
+        assert not hasattr(Catalog, name) and not hasattr(cat, name), name
+
+
+def test_one_endomorphism_walk(monkeypatch):
+    """The idempotent search, the brick test and the mu bounds' radical all walk End(m) in _nonunits."""
+    from subcat import _kernel_search, catalog
+
+    walk, seen = catalog._nonunits, []
+
+    def recording(m, basis, cap, test):
+        seen.append(test)
+        return walk(m, basis, cap, test)
+
+    monkeypatch.setattr(catalog, "_nonunits", recording)
+    monkeypatch.setattr(_kernel_search, "_nonunits", recording)
+    cat = build_builtin("uniserial:3")
+    assert catalog.find_nontrivial_idempotent(cat.indecs[2]) is None
+    assert not catalog.is_brick(cat.indecs[2])
+    _kernel_search._mu_tables(cat)
+    assert set(seen) == {"idempotent search", "brick test", "radical"}

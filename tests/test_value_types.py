@@ -12,14 +12,15 @@ import pickle
 
 import pytest
 
-from subcat.catalog import _enumerate_subspaces, build_builtin
+from subcat._kernel_search import _enumerate_subspaces, _mu_tables
+from subcat.catalog import build_builtin
 from subcat.cli import RunConfig
 from subcat.closures import ChainCertificate, ChainStep, SubcatBits, TorsionPair
 from subcat.errors import ShapeError
 from subcat.lattices import CheckConfig, Family, HasseDiagram, RelationsReport
 from subcat.linalg import Mat, Subspace
 from subcat.rep import Algebra, Arrow, Morphism, Relation, Rep, SubRep
-import subcat.catalog as catalog_mod
+import subcat._kernel_search as kernel_search_mod
 
 
 class Cat:
@@ -248,7 +249,7 @@ def mu_tables():
     for d in MU_DESCRIPTORS:
         cat = build_builtin(d)
         for label, c in ((d, cat), (d + "^op", cat.opposite())):
-            out[label] = c._mu_and_saturation()
+            out[label] = _mu_tables(c)
     return out
 
 
@@ -258,7 +259,8 @@ def test_memoized_subspaces_give_the_same_mu_tables(monkeypatch):
     info = _enumerate_subspaces.cache_info()
     assert info.hits > info.misses > 0
     uncached = _enumerate_subspaces.__wrapped__
-    monkeypatch.setattr(catalog_mod, "_enumerate_subspaces", lambda p, dim: list(uncached(p, dim)))
+    monkeypatch.setattr(kernel_search_mod, "_enumerate_subspaces",
+                        lambda p, dim: list(uncached(p, dim)))
     assert mu_tables() == memoized
 
 

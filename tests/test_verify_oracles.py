@@ -14,7 +14,13 @@ from subcat import cli
 from subcat.catalog import build_builtin, mid_counts, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
-from subcat._kernel_search import _kernel_classes, _kernel_violation, _mid_label, _packing
+from subcat._kernel_search import (
+    _kernel_classes,
+    _kernel_violation,
+    _mid_label,
+    _mu_tables,
+    _packing,
+)
 from subcat.lattices import KINDS, CheckConfig, enumerate_family
 from subcat.linalg import Subspace
 from subcat.rep import all_submodules, hom_basis, image, kernel, quotient, sub_to_rep
@@ -95,7 +101,8 @@ def test_cached_splits_still_check_a_smaller_cap():
 
 
 ORACLE_MEMOS = ("filt_keys", "filt_splits", ("layer", "tors"), ("layer", "torf"),
-                ("successor", "tors"), ("successor", "torf"), "packing", "kerstep_packed")
+                ("successor", "tors"), ("successor", "torf"), "packing", "kerstep_packed",
+                "mu", "subquotients")
 
 
 @pytest.mark.parametrize("descriptor", ["a3", "uniserial:4", "an:5"])
@@ -117,7 +124,7 @@ def reference_kernel_violation(s, cfg, dual=False):
     """
     cat = s.catalog
     classes = cat._closure_memo.setdefault("kerstep", {})
-    sat = cat.saturation
+    mu, sat = _mu_tables(cat)
     caps = [min(cfg.mult_cap, sat[i] + 1) for i in range(cat.n)]
     dims = [m.total_dim for m in cat.indecs]
     seeds = set()
@@ -132,7 +139,7 @@ def reference_kernel_violation(s, cfg, dual=False):
         state = frontier.pop()
         counts = mid_counts(state)
         for b in s.indices():
-            core = {i: min(m, cat.mu_bound(i, b)) for i, m in counts.items() if cat.mu_bound(i, b)}
+            core = {i: min(m, mu[i][b]) for i, m in counts.items() if mu[i][b]}
             surplus = [i for i, m in counts.items() for _ in range(m - core.get(i, 0))]
             key = (mid_from_counts(core), b)
             if key not in classes:
