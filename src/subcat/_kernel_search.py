@@ -39,12 +39,15 @@ closure condition:
 
 The mu bounds, which cap the copies of each indecomposable in the kernel
 search, serve only this search: they are built on its first step and
-memoized on the catalog, so enumeration never builds them.
+memoized on the catalog, so enumeration never builds them.  Each bound
+reads the End(X_i)-submodules of Hom(X_i, X_j), grown as joins of cyclic
+submodules from 0 rather than filtered out of every subspace; End acts
+on coordinates read at the pivot columns of the reduced row-echelon Hom
+basis, with no linear solve.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -53,16 +56,17 @@ from .closures import SubcatBits, fac_contains, sub_contains
 from .errors import CapExceeded
 from .linalg import Mat, Subspace, _combine, _pivot_rows, _reduced_rows, pack_row
 from .rep import (
+    _lines,
     direct_sum,
     flat_entries,
     kernel,
-    morphism_coords,
     morphism_from_coeffs,
     sub_to_rep,
 )
 
 if TYPE_CHECKING:
     from .lattices import CheckConfig
+    from .rep import Morphism
 
 KERNEL_ENUM_CAP = 1 << 16
 
@@ -273,6 +277,8 @@ def _mu_bound(cat: Catalog, i: int, j: int) -> int:
     automorphism of the source so that at most mu copies act nontrivially,
     where mu bounds the generator count of every End(indec_i)-submodule of
     Hom(indec_i, indec_j).  dim Hom is always a safe fallback.
+
+    End acts on coordinate rows over the Hom basis (``_end_actions``).
     """
     homs = cat.hom_pair_basis(i, j)
     h = len(homs)
@@ -281,59 +287,69 @@ def _mu_bound(cat: Catalog, i: int, j: int) -> int:
     p = cat.algebra.p
     ebasis = cat.hom_pair_basis(i, i)
     de = len(ebasis)
-    if de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
+    # de == 1: End is the field, so every subspace is a submodule and mu = h
+    if de == 1 or de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
         return h
     src = cat.indecs[i]
-
-    def action(e) -> Mat:  # g -> g.e on Hom(X_i, X_j), in coordinates
-        return Mat.from_rows(p, [list(morphism_coords(homs, g.compose(e))) for g in homs], ncols=h)
-
     nonunits = [coeffs for coeffs, _ in _nonunits(src, ebasis, END_ENUM_CAP, "radical")]
     rad = Subspace.span(p, de, nonunits)
     if p**rad.dim != len(nonunits) + 1:  # the non-units and 0 are not a subspace
         return h
     residue_dim = de - rad.dim
-    actions = [action(e) for e in ebasis]
-    rad_actions = [action(morphism_from_coeffs(ebasis, rad.basis.row_entries(r), src, src))
-                   for r in range(rad.dim)]
+    rad_actions = _end_actions(p, homs, [
+        morphism_from_coeffs(ebasis, rad.basis.row_entries(r), src, src) for r in range(rad.dim)])
     best = 1
-    for w in _enumerate_subspaces(p, h):
-        if w.dim == 0 or not all(
-                w.contains(Subspace.from_matrix_rows(w.basis.mul(act))) for act in actions):
+    for w in _submodules(p, h, _end_actions(p, homs, ebasis)):
+        if not w:
             continue
-        wrad = Subspace.zero(p, h)
-        for act in rad_actions:
-            wrad = wrad.add(Subspace.from_matrix_rows(w.basis.mul(act)))
-        over = w.dim - wrad.dim
+        wmat = Mat(p, len(w), h, w)
+        over = len(w) - len(_reduced_rows(p, [v for act in rad_actions
+                                               for v in wmat.mul(act).rows]))
         if over % residue_dim:
             return h
         best = max(best, over // residue_dim)
     return best
 
 
-@cache
-def _enumerate_subspaces(p: int, dim: int) -> tuple[Subspace, ...]:
-    """All subspaces of F_p^dim by breadth-first span growth (small dim only).
+def _end_actions(p: int, homs: Sequence[Morphism], ends: Sequence[Morphism]) -> list[Mat]:
+    """The right actions g -> g.e on the span of ``homs``, one matrix per e, in coordinates.
 
-    Memoized per (p, dim): `_mu_bound` asks for it once per Hom pair, and its
-    guard keeps dim at most 5, so there are few keys; the values are immutable.
+    Row t holds the coordinates of homs[t].e.  A Hom basis is in reduced
+    row-echelon form over the flat entries of its maps, so those are the
+    entries of homs[t].e at the basis's pivot columns, with no solve.
     """
-    zero = Subspace.zero(p, dim)
-    vectors = [pack_row(p, v) for v in product(range(p), repeat=dim) if any(v)]
-    seen = {zero.basis.rows: zero}
-    frontier = [zero]
+    pivots = [next(k for k, x in enumerate(flat_entries(g)) if x) for g in homs]
+    return [Mat.from_rows(p, [[row[k] for k in pivots]
+                              for row in (flat_entries(g.compose(e)) for g in homs)],
+                          ncols=len(homs))
+            for e in ends]
+
+
+def _submodules(p: int, h: int, actions: Sequence[Mat]) -> list[tuple]:
+    """Every submodule of F_p^h under the algebra spanned by ``actions``, as RREF rows.
+
+    The actions act on the right of row vectors, and their span contains the
+    identity, so the cyclic submodule of v is the span of the v.a.  Each
+    submodule is the join of the cyclic submodules of its vectors, and v and
+    c*v generate the same one, so the search grows joins from 0 by the
+    cyclic submodules of one vector per line.
+    """
+    cyclic = {}
+    for v in _lines(p, h):
+        row = Mat.from_rows(p, [v], h)
+        cyclic[_reduced_rows(p, [row.mul(act).rows[0] for act in actions])] = None
+    found = {(): None}
+    frontier = [()]
     while frontier:
         nxt = []
-        for sp in frontier:
-            for vec in vectors:
-                if sp.has_vector(vec):
-                    continue
-                grown = sp.add(Subspace.from_matrix_rows(Mat(p, 1, dim, (vec,))))
-                if grown.basis.rows not in seen:
-                    seen[grown.basis.rows] = grown
-                    nxt.append(grown)
+        for w in frontier:
+            for c in cyclic:
+                joined = _reduced_rows(p, w + c)
+                if joined not in found:
+                    found[joined] = None
+                    nxt.append(joined)
         frontier = nxt
-    return tuple(seen.values())
+    return list(found)
 
 
 # -- packed search states ---------------------------------------------------------------

@@ -11,15 +11,20 @@ quotients and extensions and contains a nonzero first layer inside every
 member's trace, which forces strict descent.  The literal filtration-search
 oracle `filt_contains` stays available as an independent cross-check.
 
-What depends only on the catalog is cached on it, on first use, keyed by
-module value: each member's contribution to a trace or reject in a module,
-a chain layer's successor class, and, for the filtration search, each
+What depends on fewer members than the subset is cached on the catalog,
+on first use, keyed by module value: each member's contribution to a
+trace or reject in a module; the trace or reject itself, keyed on the
+members of the subset whose contribution there is nontrivial; the class of
+a layer and of the quotient by it; and, for the filtration search, each
 module's (dimension vector, Hom profile) key and its (layer, quotient)
-splits in `all_submodules` order.  These are the same computations the
-searches made per subset before, so the oracles keep their algorithms and
-their order of search; they still read neither the Hom-orthogonality perps
-nor the lattice tables of `lattices`, which is what keeps them independent
-of the enumeration they check.
+splits in `all_submodules` order.  The trace/reject key is exact, because
+a zero image adds nothing to a trace and a kernel equal to the module
+removes nothing from a reject; a contribution is computed only when a
+subset holding its member asks, so nothing is computed that a join over
+every member would not compute.  The oracles keep their algorithms and
+their order of search; they still read neither the Hom-orthogonality
+perps nor the lattice tables of `lattices`, which is what keeps them
+independent of the enumeration they check.
 """
 
 from __future__ import annotations
@@ -156,25 +161,72 @@ def _contribution(cat: Catalog, i: int, m: Rep, kind: str) -> tuple[Subspace, ..
     """What member i adds to the trace (kind tors) or reject (kind torf) in m.
 
     The images of all maps X_i -> m, or the common kernel of all maps
-    m -> X_i.  It depends only on (member, module), so it is memoized per
-    catalog on the module value and shared by every subcategory.
+    m -> X_i.
     """
+    if kind == "tors":
+        parts = (image(f).spaces for f in hom_basis(cat.indecs[i], m))
+    else:
+        parts = (kernel(f).spaces for f in hom_basis(m, cat.indecs[i]))
+    return _join(cat.algebra.p, m.dims, parts, kind)
+
+
+class _Joins:
+    """The join memo of one (kind, module) pair on a catalog.
+
+    ``asked`` holds the members whose contribution has been computed;
+    ``live`` those among them whose contribution is nontrivial (a nonzero
+    image for tors, a proper kernel for torf), with the contributions in
+    ``parts``.  ``layers`` and ``steps`` map a mask of live members to their
+    join and to its chain step.
+    """
+
+    __slots__ = ("asked", "live", "parts", "layers", "steps")
+
+    def __init__(self):
+        self.asked = self.live = 0
+        self.parts: dict[int, tuple[Subspace, ...]] = {}
+        self.layers: dict[int, SubRep] = {}
+        self.steps: dict[int, tuple[tuple[int, ...], ModuleId]] = {}
+
+
+def _joined(c: SubcatBits, m: Rep, kind: str) -> tuple[_Joins, int]:
+    """The join memo of (kind, m) on C's catalog, holding C's layer, and C's key in it.
+
+    The key is the set of members of C whose contribution in m is
+    nontrivial.  That is exact: a zero image adds nothing to a trace, and
+    a kernel equal to m removes nothing from a reject.  A member's
+    contribution is computed the first time a subcategory containing it
+    asks, so no contribution is computed that joining over every member of
+    C would not compute.
+    """
+    cat = c.catalog
     memo = cat._closure_memo.setdefault(("layer", kind), {})
-    key = (i, m)
-    if key not in memo:
-        if kind == "tors":
-            parts = (image(f).spaces for f in hom_basis(cat.indecs[i], m))
-        else:
-            parts = (kernel(f).spaces for f in hom_basis(m, cat.indecs[i]))
-        memo[key] = _join(cat.algebra.p, m.dims, parts, kind)
-    return memo[key]
+    joins = memo.get(m)
+    if joins is None:
+        joins = memo[m] = _Joins()
+    new = c.bits & ~joins.asked
+    if new:
+        joins.asked |= new
+        while new:
+            low = new & -new
+            new ^= low
+            i = low.bit_length() - 1
+            part = _contribution(cat, i, m, kind)
+            if any(sp.dim for sp in part) if kind == "tors" else any(
+                    sp.dim < d for sp, d in zip(part, m.dims)):
+                joins.live |= low
+                joins.parts[i] = part
+    key = c.bits & joins.live
+    if key not in joins.layers:
+        parts = (part for i, part in joins.parts.items() if key >> i & 1)
+        joins.layers[key] = SubRep(m, _join(cat.algebra.p, m.dims, parts, kind))
+    return joins, key
 
 
 def _layer(c: SubcatBits, m: Rep, kind: str) -> SubRep:
     """The trace (kind tors) or reject (kind torf) of C in m."""
-    cat = c.catalog
-    parts = (_contribution(cat, i, m, kind) for i in c.indices())
-    return SubRep(m, _join(cat.algebra.p, m.dims, parts, kind))
+    joins, key = _joined(c, m, kind)
+    return joins.layers[key]
 
 
 def trace(c: SubcatBits, m: Rep) -> SubRep:
@@ -239,19 +291,34 @@ class ChainCertificate(NamedTuple):
 
 
 def _chain_next(c: SubcatBits, mid: ModuleId, kind: str) -> tuple[tuple[int, ...], ModuleId]:
-    """One chain step on an isomorphism class: (layer dims, next class)."""
+    """One chain step on an isomorphism class: (layer dims, next class).
+
+    Memoized with the layer, so every subcategory with that layer shares it.
+    """
     cat = c.catalog
-    memo = cat._closure_memo.setdefault((kind, c.bits), {})
-    if mid not in memo:
-        layer = _layer(c, cat.rep_of(mid), kind)
-        successors = cat._closure_memo.setdefault(("successor", kind), {})
-        if layer not in successors:
-            successors[layer] = (
-                cat.identify(quotient(layer.ambient, layer)[0]) if kind == "tors"
-                else cat.identify_sub(layer)
-            )
-        memo[mid] = (layer.dims, successors[layer])
-    return memo[mid]
+    joins, key = _joined(c, cat.rep_of(mid), kind)
+    step = joins.steps.get(key)
+    if step is None:
+        layer = joins.layers[key]
+        nxt = _quotient_class(cat, layer) if kind == "tors" else _sub_class(cat, layer)
+        step = joins.steps[key] = (layer.dims, nxt)
+    return step
+
+
+def _sub_class(cat: Catalog, layer: SubRep) -> ModuleId:
+    """The class of a submodule, memoized per catalog on its value."""
+    memo = cat._closure_memo.setdefault("sub_classes", {})
+    if layer not in memo:
+        memo[layer] = cat.identify_sub(layer)
+    return memo[layer]
+
+
+def _quotient_class(cat: Catalog, layer: SubRep) -> ModuleId:
+    """The class of the ambient module modulo a submodule, memoized per catalog on its value."""
+    memo = cat._closure_memo.setdefault("quotient_classes", {})
+    if layer not in memo:
+        memo[layer] = cat.identify(quotient(layer.ambient, layer)[0])
+    return memo[layer]
 
 
 def _stalled(cat: Catalog, mid: ModuleId, layer_dims: tuple[int, ...], kind: str) -> bool:
@@ -427,8 +494,8 @@ def torsion_pair_complete(f: SubcatBits) -> TorsionPair:
     for k in range(cat.n):
         x = cat.indecs[k]
         tr = trace(t, x)
-        torsion_part = cat.identify_sub(tr)
-        free_part = cat.identify(quotient(x, tr)[0])
+        torsion_part = _sub_class(cat, tr)
+        free_part = _quotient_class(cat, tr)
         ok = t.contains_id(torsion_part) and f.contains_id(free_part)
         verified = verified and ok
         witnesses.append(

@@ -399,23 +399,39 @@ class HasseDiagram(NamedTuple):
 def hasse(family: Family) -> HasseDiagram:
     """Cover edges (low, high), sorted by (high, low).
 
-    Walking up from ``low`` in (size, bits) order, a member above it is a
-    cover unless a cover already found lies inside it: whatever lies
-    strictly between is smaller, so it came first.
+    Walking up from ``low`` in (size, bits) order, the first member above it
+    is a cover, and so is each later one that contains no cover found so
+    far: whatever lies strictly between is smaller, so it came first.  The
+    walk visits only the members above ``low``: a bitset over positions in
+    that order, the AND of one mask per catalog index of the members
+    containing it.  Each cover found drops the members above it.
     """
     nodes = family.members
     bits = [m.bits for m in nodes]
     order = sorted(range(len(bits)), key=lambda k: (bits[k].bit_count(), bits[k]))
+    holders: dict[int, int] = {}  # one catalog index's bit -> positions of members holding it
+    for t, i in enumerate(order):
+        rest = bits[i]
+        while rest:
+            one = rest & -rest
+            rest ^= one
+            holders[one] = holders.get(one, 0) | 1 << t
+    everyone = (1 << len(order)) - 1
+    ups = []  # per position, the positions of the members containing that member
+    for i in order:
+        up, rest = everyone, bits[i]
+        while rest:
+            one = rest & -rest
+            rest ^= one
+            up &= holders[one]
+        ups.append(up)
     edges = []
     for t, i in enumerate(order):
-        low = bits[i]
-        covers: list[int] = []
-        for j in order[t + 1:]:
-            high = bits[j]
-            if low & ~high or any(not c & ~high for c in covers):
-                continue
-            covers.append(high)
-            edges.append((i, j))
+        later = ups[t] >> t + 1 << t + 1
+        while later:
+            s = (later & -later).bit_length() - 1
+            edges.append((i, order[s]))
+            later &= ~ups[s]
     edges.sort(key=lambda e: (e[1], e[0]))
     return HasseDiagram(family, nodes, tuple(edges))
 

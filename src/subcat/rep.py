@@ -417,20 +417,6 @@ def flat_entries(f: Morphism) -> list[int]:
     return out
 
 
-def morphism_coords(basis: Sequence[Morphism], f: Morphism) -> tuple[int, ...]:
-    """Coefficients of f over an independent morphism basis."""
-    from .linalg import solve
-
-    p = f.source.algebra.p
-    cols = [flat_entries(b) for b in basis]
-    coeff_mat = Mat.from_rows(p, cols, ncols=len(cols[0]) if cols else 0).transpose()
-    rhs = Mat.from_rows(p, [[x] for x in flat_entries(f)], ncols=1)
-    sol = solve(coeff_mat, rhs)
-    if sol is None:
-        raise ShapeError("morphism is not in the span of the basis")
-    return tuple(sol.particular.column(0))
-
-
 # -- kernels, images, quotients -------------------------------------------------
 
 

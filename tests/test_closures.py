@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subcat import closures
 from subcat.catalog import build_builtin
 from subcat.closures import (
     ChainCertificate,
@@ -20,7 +23,11 @@ from subcat.closures import (
     trace,
 )
 from subcat.errors import NotTorsionFree
-from subcat.rep import Rep, direct_sum
+from subcat.lattices import enumerate_family
+from subcat.linalg import Subspace
+from subcat.rep import Rep, SubRep, direct_sum, hom_basis, image, kernel, quotient
+
+from test_lattice_path import nakayama_a3_rad2
 
 A, B, C = 0, 1, 2
 
@@ -238,3 +245,102 @@ def test_torsion_pair_a(a2):
 def test_torsion_pair_rejects_non_torf(a2):
     with pytest.raises(NotTorsionFree):
         torsion_pair_complete(sub(a2, B))
+
+
+# -- the join memo ---------------------------------------------------------------------------
+
+
+def reference_layer(c, m, kind):
+    """The trace (kind tors) or reject (kind torf) of C in m, joined over every member of C."""
+    cat = c.catalog
+    p = cat.algebra.p
+    if kind == "tors":
+        spaces = [Subspace.zero(p, d) for d in m.dims]
+        for i in c.indices():
+            for f in hom_basis(cat.indecs[i], m):
+                spaces = [s.add(t) for s, t in zip(spaces, image(f).spaces)]
+    else:
+        spaces = [Subspace.full(p, d) for d in m.dims]
+        for i in c.indices():
+            for f in hom_basis(m, cat.indecs[i]):
+                spaces = [s.intersect(t) for s, t in zip(spaces, kernel(f).spaces)]
+    return SubRep(m, tuple(spaces))
+
+
+def assert_layers_are_direct_joins(cat, subsets, modules):
+    """Ask in order, so the memo is warm from earlier subsets when later ones ask."""
+    for bits in subsets:
+        c = SubcatBits(cat, bits)
+        for m in modules:
+            assert trace(c, m) == reference_layer(c, m, "tors"), (bits, m)
+            assert reject(c, m) == reference_layer(c, m, "torf"), (bits, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.text(alphabet="<>", max_size=3), p=st.sampled_from((2, 3)), data=st.data())
+def test_layers_equal_direct_joins(word, p, data):
+    """an:1 to an:4 with random orientations, random subsets, every member and one sum."""
+    cat = build_builtin(f"an:{len(word) + 1}:{word}", p=p)
+    subsets = data.draw(st.lists(st.integers(0, (1 << cat.n) - 1), min_size=1, max_size=4),
+                        label="subsets")
+    pair = data.draw(st.lists(st.integers(0, cat.n - 1), min_size=2, max_size=2), label="pair")
+    assert_layers_are_direct_joins(cat, subsets, [*cat.indecs, cat.rep_of(tuple(pair))])
+
+
+def test_layers_equal_direct_joins_off_a_complete_catalog(tmp_path):
+    cat = nakayama_a3_rad2(tmp_path)
+    assert not cat.complete
+    subsets = list(range(1 << cat.n))
+    random.Random(0).shuffle(subsets)
+    assert_layers_are_direct_joins(cat, subsets, [*cat.indecs, cat.rep_of((0, 4))])
+
+
+def test_join_memo_computes_each_asked_contribution_once(monkeypatch):
+    """The contributions computed are exactly those of the members asked about, each once."""
+    cat = build_builtin("a3")
+    calls = []
+    contribution = closures._contribution
+
+    def counted(cat, i, m, kind):
+        calls.append((i, m, kind))
+        return contribution(cat, i, m, kind)
+
+    monkeypatch.setattr(closures, "_contribution", counted)
+    asked = set()
+    for bits in random.Random(1).sample(range(1 << cat.n), 20):
+        c = SubcatBits(cat, bits)
+        for m in cat.indecs:
+            for kind, layer in (("tors", trace), ("torf", reject)):
+                layer(c, m)
+                asked.update((i, m, kind) for i in c.indices())
+    assert len(calls) == len(set(calls))
+    assert set(calls) == asked
+
+
+def reference_witnesses(f):
+    """torsion_pair_complete's witnesses from direct joins, with no memo."""
+    cat = f.catalog
+    f_idx = f.indices()
+    t = SubcatBits(cat, sum(1 << k for k in range(cat.n)
+                            if all(cat.hom_dims[k][j] == 0 for j in f_idx)))
+    out = []
+    for k, x in enumerate(cat.indecs):
+        tr = reference_layer(t, x, "tors")
+        torsion_part = cat.identify_sub(tr)
+        free_part = cat.identify(quotient(x, tr)[0])
+        out.append({
+            "module": cat.names[k],
+            "torsion_part": sorted(cat.names[i] for i in torsion_part),
+            "torsion_free_part": sorted(cat.names[i] for i in free_part),
+            "ok": t.contains_id(torsion_part) and f.contains_id(free_part),
+        })
+    return tuple(out)
+
+
+@pytest.mark.parametrize("descriptor", ["a3", "uniserial:4"])
+def test_torsion_pair_witnesses_match_unmemoized(descriptor):
+    cat = build_builtin(descriptor)
+    for f in enumerate_family(cat, "torf").members:
+        pair = torsion_pair_complete(f)
+        assert pair.verified
+        assert pair.witnesses == reference_witnesses(f), f.label()

@@ -9,18 +9,20 @@ dataclass versions printed.
 
 import copy
 import pickle
+from itertools import product
 
 import pytest
 
-from subcat._kernel_search import _enumerate_subspaces, _mu_tables
-from subcat.catalog import build_builtin
+from subcat import _kernel_search as kernel_search
+from subcat._kernel_search import _end_actions, _mu_tables, _submodules
+from subcat.catalog import Catalog, build_builtin
 from subcat.cli import RunConfig
 from subcat.closures import ChainCertificate, ChainStep, SubcatBits, TorsionPair
 from subcat.errors import ShapeError
 from subcat.lattices import CheckConfig, Family, HasseDiagram, RelationsReport
-from subcat.linalg import Mat, Subspace
-from subcat.rep import Algebra, Arrow, Morphism, Relation, Rep, SubRep
-import subcat._kernel_search as kernel_search_mod
+from subcat.linalg import Mat, Subspace, pack_row, rref, solve
+from subcat.rep import (Algebra, Arrow, Morphism, Relation, Rep, SubRep, flat_entries,
+                        morphism_from_coeffs)
 
 
 class Cat:
@@ -234,7 +236,7 @@ def test_post_init_patched_on_the_class_runs_once_per_mat(monkeypatch, build):
     assert calls == [m] and calls[0] is m
 
 
-# -- the memoized subspace enumeration behind the mu bounds --------------------------------
+# -- the mu bounds against the all-subspace filter ----------------------------------------
 
 MU_DESCRIPTORS = (["a2", "a3"]
                   + [f"an:{n}:{w}" for n, words in ((2, "<>"), (3, ("<<", "<>", "><", ">>")),
@@ -244,29 +246,135 @@ MU_DESCRIPTORS = (["a2", "a3"]
                   + [f"uniserial:{n}" for n in (2, 3, 4, 5)])
 
 
-def mu_tables():
-    out = {}
+def all_subspaces(p, dim):
+    """Every subspace of F_p^dim, by breadth-first span growth."""
+    zero = Subspace.zero(p, dim)
+    vectors = [pack_row(p, v) for v in product(range(p), repeat=dim) if any(v)]
+    seen = {zero.basis.rows: zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for sp in frontier:
+            for vec in vectors:
+                if not sp.has_vector(vec):
+                    grown = sp.add(Subspace.from_matrix_rows(Mat(p, 1, dim, (vec,))))
+                    if grown.basis.rows not in seen:
+                        seen[grown.basis.rows] = grown
+                        nxt.append(grown)
+        frontier = nxt
+    return list(seen.values())
+
+
+def reference_action(homs, e):
+    """g -> g.e on the span of homs, with the coordinates of each g.e from a solve."""
+    p = e.source.algebra.p
+    basis_cols = Mat.from_rows(p, [flat_entries(g) for g in homs]).transpose()
+    rows = []
+    for g in homs:
+        rhs = Mat.from_rows(p, [[x] for x in flat_entries(g.compose(e))], ncols=1)
+        rows.append(list(solve(basis_cols, rhs).particular.column(0)))
+    return Mat.from_rows(p, rows, ncols=len(homs))
+
+
+def stable_subspaces(p, h, actions):
+    return [w for w in all_subspaces(p, h)
+            if all(w.contains(Subspace.from_matrix_rows(w.basis.mul(act))) for act in actions)]
+
+
+def reference_mu_bound(cat, i, j):
+    """The mu bound by filtering every subspace of Hom(X_i, X_j), with coordinates by a solve."""
+    homs = cat.hom_pair_basis(i, j)
+    h = len(homs)
+    if h <= 1:
+        return h
+    p = cat.algebra.p
+    ebasis = cat.hom_pair_basis(i, i)
+    de = len(ebasis)
+    if de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
+        return h
+    src = cat.indecs[i]
+    action = lambda e: reference_action(homs, e)
+    endos = [(c, morphism_from_coeffs(ebasis, c, src, src))
+             for c in product(range(p), repeat=de) if any(c)]
+    nonunits = [c for c, f in endos if any(rref(m).rank < d for m, d in zip(f.comps, src.dims))]
+    rad = Subspace.span(p, de, nonunits)
+    if p**rad.dim != len(nonunits) + 1:
+        return h
+    residue_dim = de - rad.dim
+    actions = [action(e) for e in ebasis]
+    rad_actions = [action(morphism_from_coeffs(ebasis, rad.basis.row_entries(r), src, src))
+                   for r in range(rad.dim)]
+    best = 1
+    for w in stable_subspaces(p, h, actions):
+        if w.dim == 0:
+            continue
+        wrad = Subspace.zero(p, h)
+        for act in rad_actions:
+            wrad = wrad.add(Subspace.from_matrix_rows(w.basis.mul(act)))
+        over = w.dim - wrad.dim
+        if over % residue_dim:
+            return h
+        best = max(best, over // residue_dim)
+    return best
+
+
+def kronecker_preprojectives(p):
+    """Three preprojectives of the Kronecker quiver: bricks with Hom spaces of dimension 2 and 3."""
+    k = Algebra.build(p, ["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    mods = {"P2": ((0, 1), [[[]], [[]]]),
+            "P1": ((1, 2), [[[1], [0]], [[0], [1]]]),
+            "X": ((2, 3), [[[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]]])}
+    return Catalog(k, [Rep.make(k, d, m) for d, m in mods.values()], list(mods))
+
+
+def mu_catalogs(p):
     for d in MU_DESCRIPTORS:
-        cat = build_builtin(d)
-        for label, c in ((d, cat), (d + "^op", cat.opposite())):
-            out[label] = _mu_tables(c)
-    return out
+        cat = build_builtin(d, p=p)
+        yield d, cat
+        yield d + "^op", cat.opposite()
+    cat = kronecker_preprojectives(p)
+    yield "kronecker", cat
+    yield "kronecker^op", cat.opposite()
 
 
-def test_memoized_subspaces_give_the_same_mu_tables(monkeypatch):
-    _enumerate_subspaces.cache_clear()
-    memoized = mu_tables()
-    info = _enumerate_subspaces.cache_info()
-    assert info.hits > info.misses > 0
-    uncached = _enumerate_subspaces.__wrapped__
-    monkeypatch.setattr(kernel_search_mod, "_enumerate_subspaces",
-                        lambda p, dim: list(uncached(p, dim)))
-    assert mu_tables() == memoized
+@pytest.mark.parametrize("p", [2, 3])
+def test_mu_tables_equal_the_all_subspace_filter(p):
+    for d, c in mu_catalogs(p):
+        mu = tuple(tuple(reference_mu_bound(c, i, j) for j in range(c.n)) for i in range(c.n))
+        assert _mu_tables(c) == (mu, tuple(max(1, max(row)) for row in mu)), d
+        if d == "kronecker":
+            # a brick's End is the field, so every subspace of Hom out of it is a submodule
+            assert mu == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
 
 
-def test_enumerated_subspaces_are_shared_and_immutable():
-    first = _enumerate_subspaces(2, 3)
-    assert _enumerate_subspaces(2, 3) is first
-    assert isinstance(first, tuple)
+def test_mu_bounds_out_of_bricks_search_nothing(monkeypatch):
+    """End = k makes every subspace a submodule; over F_31 the search would visit 993 lines."""
+    def no_search(*args):
+        raise AssertionError("a brick's mu bound needs no submodule search")
+
+    monkeypatch.setattr(kernel_search, "_submodules", no_search)
+    assert _mu_tables(kronecker_preprojectives(31))[0] == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_end_actions_read_the_solved_coordinates(p):
+    """Every right action of End(X_i) on Hom(X_i, X_j), and the submodules it leaves stable."""
+    pairs = 0
+    for d, cat in mu_catalogs(p):
+        for i, j in product(range(cat.n), repeat=2):
+            homs, ebasis = cat.hom_pair_basis(i, j), cat.hom_pair_basis(i, i)
+            if not homs:
+                continue
+            actions = [reference_action(homs, e) for e in ebasis]
+            assert _end_actions(p, homs, ebasis) == actions, (d, i, j)
+            if len(homs) <= 3:
+                assert sorted(_submodules(p, len(homs), actions)) == sorted(
+                    w.basis.rows for w in stable_subspaces(p, len(homs), actions)), (d, i, j)
+                pairs += len(homs) > 1
+    assert pairs
+
+
+def test_all_subspaces_of_a_small_space():
     # 1 + 7 + 7 + 1 subspaces of F_2^3
-    assert len(first) == 16 and len(set(first)) == 16
+    spaces = all_subspaces(2, 3)
+    assert len(spaces) == 16 and len(set(spaces)) == 16

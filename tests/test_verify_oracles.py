@@ -101,7 +101,7 @@ def test_cached_splits_still_check_a_smaller_cap():
 
 
 ORACLE_MEMOS = ("filt_keys", "filt_splits", ("layer", "tors"), ("layer", "torf"),
-                ("successor", "tors"), ("successor", "torf"), "packing", "kerstep_packed",
+                "sub_classes", "quotient_classes", "packing", "kerstep_packed",
                 "mu", "subquotients")
 
 
@@ -111,6 +111,13 @@ def test_enumeration_builds_no_oracle_memo(descriptor):
     for kind in KINDS:
         enumerate_family(cat, kind, "auto")
     assert not [m for m in ORACLE_MEMOS if m in cat._closure_memo]
+
+
+def test_verification_builds_every_oracle_memo():
+    """The names above are the keys the oracles use, so their absence proves something."""
+    cat = build_builtin("a2")
+    cli.run_verification(cat, CheckConfig(), "a2")
+    assert [m for m in ORACLE_MEMOS if m not in cat._closure_memo] == []
 
 
 # -- the kernel search on packed multisets -------------------------------------------------
