@@ -13,7 +13,6 @@ from .closures import (
     chain_certificate,
     fac_contains,
     filt_contains,
-    serre_closure,
     sub_contains,
     torf_closure,
     tors_closure,
@@ -21,6 +20,7 @@ from .closures import (
 )
 from .errors import CapExceeded, ParseError, SubcatError
 from .lattices import (
+    _CLOSURES,
     KINDS,
     CheckConfig,
     enumerate_family,
@@ -144,10 +144,9 @@ def cmd_closure(cfg: RunConfig, kind: str, set_arg: str) -> int:
     cat, _ = cfg.load()
     names = [n.strip() for n in set_arg.split(",") if n.strip()] if set_arg else []
     start = SubcatBits.from_names(cat, names)
-    ops = {"tors": tors_closure, "torf": torf_closure, "serre": serre_closure}
-    if kind not in ops:
-        raise ParseError(f"closure kind must be one of {sorted(ops)}, got {kind!r}")
-    closed = ops[kind](start)
+    if kind not in _CLOSURES:
+        raise ParseError(f"closure kind must be one of {sorted(_CLOSURES)}, got {kind!r}")
+    closed = _CLOSURES[kind](start)
     certificates = []
     if cfg.explain:
         if kind == "serre":
@@ -264,7 +263,7 @@ def run_verification(cat: Catalog, caps: CheckConfig,
     laws_ok = True
     for bits in subsets[: min(len(subsets), 64)]:
         s = SubcatBits(cat, bits)
-        for op_cl in (tors_closure, torf_closure, serre_closure):
+        for op_cl in _CLOSURES.values():
             closed = op_cl(s)
             if not s.issubset(closed) or op_cl(closed).bits != closed.bits:
                 laws_ok = False

@@ -57,17 +57,6 @@ class SubcatBits(_Frozen):
         _bits_catalog(self, catalog)
         _bits_bits(self, bits)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits and self.catalog == other.catalog
-
-    def __hash__(self):
-        return hash((self.catalog, self.bits))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(catalog={self.catalog!r}, bits={self.bits!r})"
-
     @staticmethod
     def empty(catalog: Catalog) -> "SubcatBits":
         return SubcatBits(catalog, 0)

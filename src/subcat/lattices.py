@@ -38,8 +38,8 @@ The identities hold in the whole module category.  A user catalog that is
 not marked complete therefore builds both chain tables first, which
 identifies every trace quotient and reject of its members and raises
 UnknownModule when one is missing.  The chain closures also stay behind
-``closure``, ``is_closed``, strategy ``nextclosure`` and the verify oracles,
-which keeps those independent of the perps.
+``closure``, ``is_closed`` and the verify oracles, which keeps those
+independent of the perps.
 
 ``is_closed`` is the independent, bounded oracle, and strategy
 ``bruteforce`` filters all 2^n subsets through it.  It decides serre, tors
@@ -85,17 +85,6 @@ class CheckConfig(_Frozen):
             raise ShapeError("caps must be at least 1")
         _cfg_mult_cap(self, mult_cap)
         _cfg_dim_cap(self, dim_cap)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.mult_cap == other.mult_cap and self.dim_cap == other.dim_cap
-
-    def __hash__(self):
-        return hash((self.mult_cap, self.dim_cap))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(mult_cap={self.mult_cap!r}, dim_cap={self.dim_cap!r})"
 
 
 _cfg_mult_cap, _cfg_dim_cap = _slot_setters(CheckConfig)
@@ -148,19 +137,6 @@ class Family(_Frozen):
         _fam_members(self, members)
         _fam_config(self, CheckConfig() if config is None else config)
         _fam_bitsets(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind == other.kind and self.catalog == other.catalog
-                and self.members == other.members and self.config == other.config)
-
-    def __hash__(self):
-        return hash((self.kind, self.catalog, self.members, self.config))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(kind={self.kind!r}, catalog={self.catalog!r}, "
-                f"members={self.members!r}, config={self.config!r})")
 
     @property
     def count(self) -> int:
@@ -364,20 +340,15 @@ def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto",
     """Enumerate all subcategories of one kind.
 
     ``auto`` derives the family exactly from the lattice tables (see the
-    module docstring).  ``nextclosure`` walks the closed sets of the chain
-    closure operators and is valid for serre/tors/torf only; ``bruteforce``
-    filters all 2^n subsets through the bounded checker is_closed.  All
-    strategies return identical families; the other two are its oracles.
+    module docstring).  ``bruteforce`` filters all 2^n subsets through the
+    bounded checker is_closed, the oracle of ``auto``; both return identical
+    families.
     """
     cfg = cfg or CheckConfig()
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
     if strategy == "auto":
         bitsets = _lattice_bitsets(cat, kind)
-    elif strategy == "nextclosure":
-        if kind not in ("serre", "tors", "torf"):
-            raise ShapeError(f"nextclosure needs an exact closure operator; {kind} has none")
-        bitsets = _next_closure_enum(_closure_operator(kind, cat), cat.n)
     elif strategy == "bruteforce":
         bitsets = [b for b in range(1 << cat.n) if is_closed(kind, SubcatBits(cat, b), cfg)[0]]
     else:
@@ -442,7 +413,8 @@ def hasse_to_dot(diagram: HasseDiagram) -> str:
     lines.append('  rankdir=TB;')
     lines.append('  node [shape=none];')
     for i, node in enumerate(diagram.nodes):
-        lines.append(f'  n{i} [label="{node.label()}"];')
+        label = node.label().replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"];')
     for low, high in diagram.edges:
         lines.append(f"  n{high} -> n{low};")
     lines.append("}")

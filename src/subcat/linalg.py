@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import isqrt
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError
@@ -122,12 +123,19 @@ def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
 class _Frozen:
     """Base of the immutable value types: no instance ``__dict__``, no assignment.
 
-    Each subclass lists its fields in ``__slots__`` and writes them once, in
-    its own ``__init__``, through the slot descriptors (``_slot_setters``);
-    ``__eq__``, ``__hash__`` and ``__repr__`` are written per class as well.
+    A value is its public slots.  Each subclass lists its fields in
+    ``__slots__`` (a leading underscore marks a cache outside the value) and
+    writes them once, in its own ``__init__``, through the slot descriptors
+    (``_slot_setters``).  ``_fields`` records the public slots, as on the
+    NamedTuple records; equality, hashing, repr, copy and pickle read them.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        cls._values = attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
@@ -135,10 +143,21 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
     def __reduce__(self):
-        # copy and pickle rebuild through __init__; fields are the public slots.
-        cls = type(self)
-        return cls, tuple(getattr(self, f) for f in cls.__slots__ if f[0] != "_")
+        # copy and pickle rebuild through __init__
+        return type(self), self._values(self)
 
 
 def _slot_setters(cls: type) -> tuple:
@@ -157,19 +176,6 @@ class Mat(_Frozen):
         _mat_ncols(self, ncols)
         _mat_rows(self, rows)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p == other.p and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.p, self.nrows, self.ncols, self.rows))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(p={self.p!r}, nrows={self.nrows!r}, "
-                f"ncols={self.ncols!r}, rows={self.rows!r})")
 
     def __post_init__(self):
         """Validate the fields; every construction calls it exactly once."""
@@ -425,17 +431,6 @@ class Subspace(_Frozen):
             raise ShapeError("basis columns must equal ambient dimension")
         _sub_ambient_dim(self, ambient_dim)
         _sub_basis(self, basis)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     @property
     def p(self) -> int:

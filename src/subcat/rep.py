@@ -135,22 +135,12 @@ class Rep(_Frozen):
         _rep_mats(self, mats)
         _rep_hash(self, None)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self is other or self.dims == other.dims and self.mats == other.mats
-                and self.algebra == other.algebra)
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.algebra, self.dims, self.mats))
+            h = hash(self._values(self))
             _rep_hash(self, h)
         return h
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(algebra={self.algebra!r}, dims={self.dims!r}, "
-                f"mats={self.mats!r})")
 
     @property
     def total_dim(self) -> int:
@@ -187,19 +177,6 @@ class Morphism(_Frozen):
         _mor_target(self, target)
         _mor_comps(self, comps)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.comps == other.comps and self.source == other.source
-                and self.target == other.target)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.comps))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(source={self.source!r}, target={self.target!r}, "
-                f"comps={self.comps!r})")
-
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.comps)
@@ -233,17 +210,6 @@ class SubRep(_Frozen):
     def __init__(self, ambient: Rep, spaces: tuple[Subspace, ...]):
         _subrep_ambient(self, ambient)
         _subrep_spaces(self, spaces)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.spaces == other.spaces and self.ambient == other.ambient
-
-    def __hash__(self):
-        return hash((self.ambient, self.spaces))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(ambient={self.ambient!r}, spaces={self.spaces!r})"
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output formats, exit codes, error paths."""
 
 import json
+import re
 import time
 
 import pytest
@@ -181,6 +182,29 @@ def test_file_catalog_roundtrip(a2_files, capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 7
+
+
+def test_dot_labels_escape_quotes_and_backslashes(a2_files, capsys):
+    """Module names are file stems, so a label may hold any character DOT quotes."""
+    mods = a2_files / "mods"
+    (mods / "B.json").rename(mods / 'S"1\\.json')
+    (mods / "C.json").rename(mods / 'C\\"D.json')
+    args = ("enumerate", "--algebra", str(a2_files / "algebra.json"), "--modules", str(mods),
+            "--kind", "tors")
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    members = ["{" + ", ".join(names) + "}" for names in json.loads(out)["members"]]
+    code, out, _ = run(capsys, *args, "--format", "dot")
+    assert code == 0
+    quoted = [m.group(1) for m in re.finditer(r'^  n\d+ \[label=(.*)\];$', out, re.M)]
+    assert len(quoted) == len(members) == 5
+    labels = []
+    for text in quoted:
+        body = re.fullmatch(r'"((?:[^"\\]|\\.)*)"', text)
+        assert body, text
+        labels.append(re.sub(r"\\(.)", r"\1", body.group(1)))
+    assert labels == members
+    assert any('"' in label and "\\" in label for label in labels)
 
 
 def test_bad_module_file(a2_files, capsys):

@@ -53,3 +53,16 @@ def test_one_endomorphism_walk(monkeypatch):
     assert not catalog.is_brick(cat.indecs[2])
     _kernel_search._mu_tables(cat)
     assert set(seen) == {"idempotent search", "brick test", "radical"}
+
+
+def test_value_semantics_are_defined_once():
+    """_Frozen derives equality, hashing, repr and pickling; only Rep caches its own hash."""
+    from subcat import closures, lattices, rep  # noqa: F401  (they define the subclasses)
+    from subcat.linalg import _Frozen
+
+    methods = ("__eq__", "__hash__", "__repr__", "__reduce__")
+    own = {cls.__name__: [m for m in methods if m in vars(cls)] for cls in _Frozen.__subclasses__()}
+    assert {"Mat", "Subspace", "Rep", "Morphism", "SubRep", "SubcatBits", "CheckConfig",
+            "Family"} <= set(own)
+    assert own.pop("Rep") == ["__hash__"]
+    assert all(defined == [] for defined in own.values()), own

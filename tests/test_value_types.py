@@ -1,10 +1,11 @@
-"""Value semantics of the hand-written value and record types.
+"""Value semantics of the value and record types.
 
 The slots types (Mat, Subspace, Rep, Morphism, SubRep, SubcatBits, CheckConfig,
 Family) compare and hash by value, refuse assignment, have no instance
-``__dict__`` and are never equal to a plain tuple of their fields.  The record
-types are NamedTuples.  Every repr is pinned to the text the earlier
-dataclass versions printed.
+``__dict__`` and are never equal to a plain tuple of their fields.  Their
+fields are their public slots, recorded as ``_fields``.  The record types are
+NamedTuples.  Every repr is pinned to the text the earlier dataclass versions
+printed.
 """
 
 import copy
@@ -15,7 +16,7 @@ import pytest
 
 from subcat import _kernel_search as kernel_search
 from subcat._kernel_search import _end_actions, _mu_tables, _submodules
-from subcat.catalog import Catalog, build_builtin
+from subcat.catalog import Catalog, _is_brick, build_builtin
 from subcat.cli import RunConfig
 from subcat.closures import ChainCertificate, ChainStep, SubcatBits, TorsionPair
 from subcat.errors import ShapeError
@@ -163,6 +164,14 @@ def test_slots_types_copy_and_pickle_by_value(name):
     for clone in clones:
         assert clone is not obj
         assert clone == obj and hash(clone) == hash(obj)
+
+
+@pytest.mark.parametrize("name", SLOTS_TYPES)
+def test_slots_types_record_their_fields_and_hash_them_as_a_tuple(name):
+    obj = FACTORIES[name][0]()
+    assert FIELDS[name] == type(obj)._fields
+    # the dataclass formula: the hash of the tuple of field values
+    assert hash(obj) == hash(tuple(getattr(obj, f) for f in FIELDS[name]))
 
 
 def test_field_values_distinguish():
@@ -327,6 +336,14 @@ def kronecker_preprojectives(p):
     return Catalog(k, [Rep.make(k, d, m) for d, m in mods.values()], list(mods))
 
 
+def f2_times_f4():
+    """F_2[x]/(x^3 + x^2 + x) = F_2 x F_4: S1 is a brick whose End is F_4, of dimension 2."""
+    alg = Algebra.build(2, ["1"], [("x", "1", "1")],
+                        [[(1, ["x", "x", "x"]), (1, ["x", "x"]), (1, ["x"])]])
+    mods = [Rep.make(alg, (1,), [[[0]]]), Rep.make(alg, (2,), [[[0, 1], [1, 1]]])]
+    return Catalog(alg, mods, ["S0", "S1"])
+
+
 def mu_catalogs(p):
     for d in MU_DESCRIPTORS:
         cat = build_builtin(d, p=p)
@@ -335,6 +352,10 @@ def mu_catalogs(p):
     cat = kronecker_preprojectives(p)
     yield "kronecker", cat
     yield "kronecker^op", cat.opposite()
+    if p == 2:
+        cat = f2_times_f4()
+        yield "f2xf4", cat
+        yield "f2xf4^op", cat.opposite()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -345,6 +366,9 @@ def test_mu_tables_equal_the_all_subspace_filter(p):
         if d == "kronecker":
             # a brick's End is the field, so every subspace of Hom out of it is a submodule
             assert mu == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
+        if d == "f2xf4":
+            # End(S1) = F_4, so Hom(S1, S1) is one copy of F_4, though of dimension 2 over F_2
+            assert mu == ((1, 0), (0, 1))
 
 
 def test_mu_bounds_out_of_bricks_search_nothing(monkeypatch):
@@ -354,6 +378,13 @@ def test_mu_bounds_out_of_bricks_search_nothing(monkeypatch):
 
     monkeypatch.setattr(kernel_search, "_submodules", no_search)
     assert _mu_tables(kronecker_preprojectives(31))[0] == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
+
+
+def test_a_brick_whose_end_is_bigger_than_the_field():
+    cat = f2_times_f4()
+    ends = cat.hom_pair_basis(1, 1)
+    assert len(ends) == 2 and _is_brick(cat.indecs[1], ends)
+    assert _mu_tables(cat) == (((1, 0), (0, 1)), (1, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3])
