@@ -32,9 +32,10 @@ closure condition:
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both ranks come from a
   per-catalog table of compositions of the Hom bases (``_pair_images``),
-  and (dimension vector, Hom profile) decodes to the class.  A catalog not
-  marked complete builds each distinct kernel and identifies it with that
-  profile, so a summand outside the catalog still raises UnknownModule.
+  and (dimension vector, Hom profile) decodes to the class through the
+  catalog's ``_class_of``.  A catalog not marked complete builds each
+  distinct kernel and identifies it through ``identify``, so a summand
+  outside the catalog still raises UnknownModule.
 * cokernels: the kernel search on the opposite catalog.
 
 The mu bounds, which cap the copies of each indecomposable in the kernel
@@ -55,14 +56,7 @@ from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits, mid_counts
 from .closures import SubcatBits, fac_contains, sub_contains
 from .errors import CapExceeded
 from .linalg import Mat, Subspace, _combine, _pivot_rows, _reduced_rows, pack_row
-from .rep import (
-    _lines,
-    direct_sum,
-    flat_entries,
-    kernel,
-    morphism_from_coeffs,
-    sub_to_rep,
-)
+from .rep import _lines, direct_sum, flat_entries, kernel, morphism_from_coeffs
 
 if TYPE_CHECKING:
     from .lattices import CheckConfig
@@ -174,11 +168,6 @@ def _kernel_sizes(p: int, sizes: Sequence[int], images: Sequence[tuple]) -> tupl
                  for q, size in enumerate(sizes))
 
 
-def _core_sizes(cat: Catalog, tables: Sequence[tuple]) -> list[int]:
-    """dim Hom(probe, core) per probe: the generator counts of the summands' tables."""
-    return [sum(len(t[q]) for t in tables) for q in range(cat.algebra.n_vertices + cat.n)]
-
-
 def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
     """Kernel classes of all nonzero morphisms from the sum ``core`` into indec b.
 
@@ -198,7 +187,9 @@ def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
     if not cat.complete:
         return _materialized_kernel_classes(cat, core, b)
     tables = [_pair_images(cat, i, b)[0] for i in core]
-    sizes = _core_sizes(cat, tables)
+    nv = cat.algebra.n_vertices
+    # dim Hom(probe, core) per probe: the generator counts of the summands' tables
+    sizes = [sum(len(t[q]) for t in tables) for q in range(nv + cat.n)]
     picks = product(*(
         combinations_with_replacement(_pair_images(cat, i, b)[1], m)
         for i, m in mid_counts(core).items()
@@ -208,49 +199,28 @@ def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
         images = [img for group in pick for img in group]
         if any(any(img) for img in images):
             found.add(_kernel_sizes(p, sizes, images))
-    nv = cat.algebra.n_vertices
-    classes = set()
-    for found_sizes in found:
-        key = (found_sizes[:nv], found_sizes[nv:])
-        if key not in cat._id_cache:
-            mid = cat._decode(*key)
-            if mid is None:
-                return _materialized_kernel_classes(cat, core, b)
-            cat._id_cache[key] = mid
-        classes.add(cat._id_cache[key])
-    return frozenset(classes)
+    classes = frozenset(cat._class_of(ks[:nv], ks[nv:]) for ks in found)
+    if None in classes:
+        return _materialized_kernel_classes(cat, core, b)
+    return classes
 
 
 def _materialized_kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
-    """Build each distinct kernel and identify it, given its rank-computed profile.
+    """Build each distinct kernel and identify it.
 
     For catalogs not marked complete, where the profile does not fix the
     class and a summand outside the catalog must raise UnknownModule.
     """
     p = cat.algebra.p
     parts = direct_sum(cat.algebra, [cat.indecs[i] for i in core])
-    gs = [cat.hom_pair_basis(i, b) for i in core]
-    basis = [g.compose(proj) for proj, slot in zip(parts.projections, gs) for g in slot]
-    tables = [_pair_images(cat, i, b)[0] for i in core]
-    sizes = _core_sizes(cat, tables)
+    basis = [g.compose(proj) for proj, i in zip(parts.projections, core)
+             for g in cat.hom_pair_basis(i, b)]
     kernels: dict = {}
     for coeffs in product(range(p), repeat=len(basis)):
         if any(coeffs):
             ker = kernel(morphism_from_coeffs(basis, coeffs, parts.rep, cat.indecs[b]))
-            kernels.setdefault(ker.key(), (ker, coeffs))
-    nv = cat.algebra.n_vertices
-    classes = set()
-    for ker, coeffs in kernels.values():
-        if ker.total_dim == 0:
-            classes.add(())
-            continue
-        images, start = [], 0
-        for table, slot in zip(tables, gs):
-            images.append(_image(p, table, coeffs[start:start + len(slot)]))
-            start += len(slot)
-        prof = _kernel_sizes(p, sizes, images)[nv:]
-        classes.add(cat._identify_uncached(sub_to_rep(ker)[0], prof))
-    return frozenset(classes)
+            kernels.setdefault(ker.key(), ker)
+    return frozenset(cat.identify_sub(ker) for ker in kernels.values())
 
 
 # -- mu bounds ----------------------------------------------------------------------

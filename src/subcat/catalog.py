@@ -10,18 +10,20 @@ for injectivity on catalog members at build time.
 Identification decodes a Hom profile into multiplicities with an integer
 inverse of the Hom-dimension matrix, A = D * H^-1 for the least positive D,
 computed once per catalog by fraction-free elimination: a profile decodes by
-integer dot products and a divisibility test by D.
+integer dot products and a divisibility test by D.  ``_class_of`` memoizes
+the decodes of a complete catalog, and every reader of a class goes through it.
 
 The extension table is built in two passes.  First, per pair (i, j), one
 elimination grows the echelon rows of the coboundaries B by the cocycles Z;
-the cocycles that grow them are a basis of Ext^1(X_j, X_i) = Z/B.  Then the
+the cocycles that grow them are a basis of Ext^1(X_j, X_i) = Z/B, and B is
+the image of the Hom system of the reversed pair (j, i).  Then the
 zero class is the split middle X_i + X_j, by Krull-Schmidt, and each other
 class theta has its Hom profile read off the long exact sequence:
 dim Hom(X_k, E) = h(k, i) + h(k, j) - rank of f -> [theta.f] from
 Hom(X_k, X_j) into Ext^1(X_k, X_i).  With the dimension vector, that profile
 decodes the middle on a complete catalog, so no middle term is assembled or
 solved for Hom.  A user catalog, or a failed decode, assembles the middle and
-identifies it with that profile, so a missing summand raises UnknownModule.
+identifies it through ``identify``, so a missing summand raises UnknownModule.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from .rep import (
     Morphism,
     Rep,
     SubRep,
+    _hom_basis,
+    _hom_system,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -129,11 +133,13 @@ class Catalog:
                 raise Decomposable(k, f"module {self.names[k]} is the zero module")
         self._rep_cache: dict[ModuleId, Rep] = {}
         self._id_cache: dict = {}
-        self._hom_bases: dict[tuple[int, int], list[Morphism]] = {}
         n = len(self.indecs)
-        for i in range(n):
-            for j in range(n):
-                self._hom_bases[(i, j)] = hom_basis(self.indecs[i], self.indecs[j])
+        systems = {(i, j): _hom_system(self.indecs[i], self.indecs[j])
+                   for i in range(n) for j in range(n)}
+        self._hom_bases: dict[tuple[int, int], list[Morphism]] = {
+            (i, j): _hom_basis(self.indecs[i], self.indecs[j], *system)
+            for (i, j), system in systems.items()
+        }
         self.hom_dims = tuple(
             tuple(len(self._hom_bases[(i, j)]) for j in range(n)) for i in range(n)
         )
@@ -141,7 +147,8 @@ class Catalog:
         self._inverse = _invert_over_rationals(self.hom_dims)
         self.simples = tuple(k for k, m in enumerate(self.indecs) if m.total_dim == 1)
         self._vertex_simple = self._map_vertex_simples()
-        spaces = {(i, j): self._ext_space(i, j) for i in range(n) for j in range(n)}
+        spaces = {(i, j): self._ext_space(i, j, systems[(j, i)][0])
+                  for i in range(n) for j in range(n)}
         self.ext_table: dict[tuple[int, int], frozenset] = {
             (i, j): frozenset(self._ext_middles(i, j, spaces)) for i in range(n) for j in range(n)
         }
@@ -183,11 +190,11 @@ class Catalog:
         profiles = [tuple(self.hom_dims[k][j] for k in range(n)) for j in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if is_isomorphic(self.indecs[i], self.indecs[j], ISO_SEARCH_CAP):
-                    raise DuplicateIso(
-                        f"modules {self.names[i]} and {self.names[j]} are isomorphic"
-                    )
-                if profiles[i] == profiles[j]:
+                if profiles[i] == profiles[j]:  # isomorphic modules share their profile
+                    if is_isomorphic(self.indecs[i], self.indecs[j], ISO_SEARCH_CAP):
+                        raise DuplicateIso(
+                            f"modules {self.names[i]} and {self.names[j]} are isomorphic"
+                        )
                     raise CatalogError(
                         f"modules {self.names[i]} and {self.names[j]} share a Hom profile"
                     )
@@ -264,38 +271,18 @@ class Catalog:
             return offs, nullspace(constraint)
         return offs, Mat.identity(p, total)
 
-    def _ext_space(self, i: int, j: int) -> _ExtSpace:
+    def _ext_space(self, i: int, j: int, reverse: Mat) -> _ExtSpace:
         """Ext^1(indec_j, indec_i) = Z/B in theta coordinates, in one elimination.
 
-        The coboundaries B are the theta = L*s - s*N for s running over unit
-        matrices at each vertex.  Their echelon rows are grown by the cocycle
+        ``reverse``, the Hom system of the pair (j, i), maps s to theta =
+        s*N - L*s with rows laid out like theta, so the coboundaries B are the
+        row span of its transpose.  Their echelon rows are grown by the cocycle
         basis; the cocycles that grow them are a basis of Z/B, and B lies in Z
         exactly when the final rank is dim Z.
         """
-        alg = self.algebra
-        p = alg.p
-        L, N = self.indecs[i], self.indecs[j]
+        p = self.algebra.p
         offs, cocycles = self._cocycles(i, j)
-        cobound_rows = []
-        for v in range(alg.n_vertices):
-            for r in range(L.dims[v]):
-                for c in range(N.dims[v]):
-                    vec = [0] * cocycles.ncols
-                    for a_idx, a in enumerate(alg.arrows):
-                        if a.source == v:
-                            for alpha in range(L.dims[a.target]):
-                                la = L.mats[a_idx].entry(alpha, r)
-                                if la:
-                                    idx = offs[a_idx] + alpha * N.dims[a.source] + c
-                                    vec[idx] = (vec[idx] + la) % p
-                        if a.target == v:
-                            for beta in range(N.dims[a.source]):
-                                nb = N.mats[a_idx].entry(c, beta)
-                                if nb:
-                                    idx = offs[a_idx] + r * N.dims[a.source] + beta
-                                    vec[idx] = (vec[idx] - nb) % p
-                    cobound_rows.append(pack_row(p, vec))
-        cobound = _pivot_rows(p, cobound_rows)
+        cobound = _pivot_rows(p, reverse.transpose().rows)
         piv = dict(cobound)
         coset = tuple(z for z in cocycles.rows if _pivot_insert(p, piv, z))
         if len(piv) != cocycles.nrows:
@@ -315,7 +302,7 @@ class Catalog:
         middle is decoded from its dimension vector and its Hom profile, read
         off the long exact sequence (_middle_profiles).  Only a catalog not
         marked complete, or a failed decode, assembles the middle and
-        identifies it with that profile.
+        identifies it.
         """
         middles = {tuple(sorted((i, j)))}
         p = self.algebra.p
@@ -323,15 +310,10 @@ class Catalog:
         L, N = self.indecs[i], self.indecs[j]
         dims = tuple(map(add, L.dims, N.dims))
         for theta, prof in self._middle_profiles(i, j, spaces):
-            key = (dims, prof)
-            mid = self._id_cache.get(key)
-            if mid is None and self.complete:
-                mid = self._decode(dims, prof)
+            mid = self._class_of(dims, prof)
             if mid is None:
-                m = self._assemble_extension(L, N, unpack_row(p, theta, space.total), space.offs)
-                mid = self._identify_uncached(m, prof)
-            if self.complete:
-                self._id_cache[key] = mid
+                mid = self.identify(
+                    self._assemble_extension(L, N, unpack_row(p, theta, space.total), space.offs))
             middles.add(mid)
         return middles
 
@@ -419,32 +401,35 @@ class Catalog:
         return tuple(hom_dim(self.indecs[k], m) for k in range(self.n))
 
     def identify(self, m: Rep) -> ModuleId:
-        """Multiset of catalog indices with m isomorphic to the matching sum."""
+        """Multiset of catalog indices with m isomorphic to the matching sum.
+
+        Off a complete catalog the decoded profile is only a candidate, kept
+        when an isomorphism search confirms it, else m is split by idempotents.
+        """
         if m.algebra != self.algebra:
             raise ShapeError("module is over a different algebra")
         if m.total_dim == 0:
             return ()
         prof = self.profile(m)
-        key = (m.dims, prof)
-        if self.complete and key in self._id_cache:
-            return self._id_cache[key]
-        mid = self._identify_uncached(m, prof)
-        if self.complete:
-            self._id_cache[key] = mid
-        return mid
+        mid = self._class_of(m.dims, prof)
+        if mid is not None:
+            return mid
+        mid = self._decode(m.dims, prof)
+        if mid is not None and is_isomorphic(m, self.rep_of(mid), ISO_SEARCH_CAP):
+            return mid
+        return self._identify_by_splitting(m)
 
     def identify_sub(self, s: SubRep) -> ModuleId:
         if s.total_dim == 0:
             return ()
         return self.identify(sub_to_rep(s)[0])
 
-    def _identify_uncached(self, m: Rep, prof: tuple[int, ...]) -> ModuleId:
-        mid = self._decode(m.dims, prof)
-        if mid is not None and (
-            self.complete or is_isomorphic(m, self.rep_of(mid), ISO_SEARCH_CAP)
-        ):
-            return mid
-        return self._identify_by_splitting(m)
+    def _class_of(self, dims: tuple[int, ...], prof: tuple[int, ...]) -> Optional[ModuleId]:
+        """On a complete catalog, the memoized class this profile decodes to; else None."""
+        key = (dims, prof)
+        if self.complete and key not in self._id_cache:
+            self._id_cache[key] = self._decode(dims, prof)
+        return self._id_cache.get(key)
 
     def _decode(self, dims: tuple[int, ...], prof: tuple[int, ...]) -> Optional[ModuleId]:
         """The multiset with this Hom profile and dimension vector, or None if none decodes.

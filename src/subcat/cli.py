@@ -336,6 +336,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 # -- argument parsing ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line raises ParseError, which ``main`` prints as one line."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sp.add_argument("--builtin", help=(
         "builtin catalog: a2 | a3 | an:<n>[:<word>] | uniserial:<n>; at most "
@@ -351,7 +358,7 @@ def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subcat",
         description="Exact subcategory lattices of finite-length module categories.",
     )
@@ -377,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig.from_args(args)
         if args.command == "catalog":
             return cmd_catalog(cfg)

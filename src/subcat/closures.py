@@ -79,7 +79,12 @@ class SubcatBits(_Frozen):
         return SubcatBits.of(catalog, (catalog.index_of(n) for n in names))
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.catalog.n) if (self.bits >> i) & 1)
+        out, rest = [], self.bits
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        return tuple(out)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.catalog.names[i] for i in self.indices())
@@ -92,7 +97,7 @@ class SubcatBits(_Frozen):
 
     @property
     def size(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     @property
     def is_empty(self) -> bool:

@@ -167,7 +167,7 @@ _fam_kind, _fam_catalog, _fam_members, _fam_config, _fam_bitsets = _slot_setters
 
 
 def _sorted_members(cat: Catalog, bitsets: Iterable[int]) -> tuple[SubcatBits, ...]:
-    ordered = sorted(set(bitsets), key=lambda b: (bin(b).count("1"), b))
+    ordered = sorted(sorted(set(bitsets)), key=int.bit_count)  # (size, bits), stable
     return tuple(SubcatBits(cat, b) for b in ordered)
 
 

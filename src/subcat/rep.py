@@ -313,7 +313,11 @@ def subrep_is_stable(s: SubRep) -> bool:
 
 
 def _hom_system(m: Rep, n: Rep) -> tuple[Mat, tuple[int, ...]]:
-    """Linear system whose nullspace is Hom(m, n), plus per-vertex offsets."""
+    """Linear system whose nullspace is Hom(m, n), plus per-vertex offsets.
+
+    Row block a holds f_t(a) m_a - n_a f_s(a): the map of Ringel's standard
+    sequence, whose image is the coboundaries of Ext^1(m, n).
+    """
     if m.algebra != n.algebra:
         raise ShapeError("representations over different algebras")
     alg = m.algebra
@@ -346,7 +350,11 @@ def hom_dim(m: Rep, n: Rep) -> int:
 
 def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     """An F_p-basis of Hom(m, n) as explicit morphisms."""
-    sys_mat, offs = _hom_system(m, n)
+    return _hom_basis(m, n, *_hom_system(m, n))
+
+
+def _hom_basis(m: Rep, n: Rep, sys_mat: Mat, offs: Sequence[int]) -> list[Morphism]:
+    """The morphisms read off the nullspace of the Hom system (sys_mat, offs) of (m, n)."""
     basis = nullspace(sys_mat)
     alg = m.algebra
     out = []

@@ -301,6 +301,21 @@ def test_load_duplicate_rejected(tmp_path):
         load_catalog(apath, mpaths)
 
 
+def test_isomorphism_search_only_for_equal_profiles(monkeypatch):
+    """Isomorphic modules share a Hom profile, so distinct profiles need no search."""
+    from subcat import catalog
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return is_isomorphic(*args)
+
+    monkeypatch.setattr(catalog, "is_isomorphic", counting)
+    build_builtin("a3")
+    assert calls == []
+
+
 def test_load_empty_rejected(tmp_path):
     apath, _ = write_a2_files(tmp_path)
     with pytest.raises(EmptyCatalog):

@@ -247,6 +247,24 @@ def test_negative_dimension_in_module_file(a2_files, capsys):
     assert err.count("\n") == 1 and "D.json" in err and "vertex 1 is negative" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "--builtin", "a2", "--format", "xml"], "argument --format: invalid choice"),
+    (["enumerate", "--builtin", "a2", "--mult-cap", "x"], "argument --mult-cap: invalid int"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_errors_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: subcat enumerate")
+
+
 def test_modules_without_algebra(capsys):
     code, _, err = run(capsys, "catalog", "--builtin", "a2", "--modules", "/nowhere")
     assert code == 2

@@ -36,6 +36,17 @@ def test_catalog_defines_no_oracle_tables():
         assert not hasattr(Catalog, name) and not hasattr(cat, name), name
 
 
+def test_only_the_catalog_decodes_profiles():
+    """Catalog._class_of owns the memo of decoded classes; other modules call it."""
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "catalog.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(_id_cache|_decode)\b", line)
+    ]
+    assert hits == []
+
+
 def test_one_endomorphism_walk(monkeypatch):
     """The idempotent search, the brick test and the mu bounds' radical all walk End(m) in _nonunits."""
     from subcat import _kernel_search, catalog
