@@ -26,8 +26,14 @@ closure condition:
   A search state is an int with one fixed-width count field per
   indecomposable, so the core split and the sticky cap are field-wise
   minimums and adding the surplus back is one addition; a state becomes a
-  tuple only to print a witness.  The frontier and each step's kernel
-  classes are still visited in the order of their sorted index tuples.
+  tuple only to print a witness.  Each subset is first decided by a walk
+  that drops every new state lying below a seed, whose own search finds
+  any escape or cap the dropped state would (``_generator_states`` has the
+  proof).  Only a refutation, or an error, reruns the ordered walk, which
+  visits the frontier and each step's kernel classes in the order of
+  their sorted index tuples; its first escape is the witness and its
+  errors are the ones raised, so witnesses and exits do not depend on the
+  decision walk.
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both ranks come from a
@@ -54,7 +60,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits, mid_counts
 from .closures import SubcatBits, fac_contains, sub_contains
-from .errors import CapExceeded
+from .errors import CapExceeded, SubcatError
 from .linalg import Mat, Subspace, _combine, _pivot_rows, _reduced_rows, pack_row
 from .rep import _lines, direct_sum, flat_entries, kernel, morphism_from_coeffs
 
@@ -391,20 +397,40 @@ def _ordered_kernel_classes(cat: Catalog, pk: _Packing, core: int, b: int, top: 
     )
 
 
+def _seed_caps(s: SubcatBits, cfg: CheckConfig) -> list[int]:
+    """Per index, the most copies a seed takes: min(mult_cap, saturation + 1) on members, else 0."""
+    sat = _mu_tables(s.catalog)[1]
+    return [min(cfg.mult_cap, sat[i] + 1) if s.has(i) else 0 for i in range(s.catalog.n)]
+
+
 def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
     """Dominance-maximal seed multisets on the members, packed.
 
     A seed takes at most min(mult_cap, saturation + 1) copies of each member
-    (more are redundant for kernel classes) within the dimension cap.  A seed
-    below another (entrywise) only produces kernel classes that ride along
-    inside the larger seed's search with surplus summands attached, so only
-    maximal seeds need exploring: every member is at its cap or no longer fits.
+    (more are redundant for kernel classes) within the dimension cap: the
+    seeds are the maximal nonzero multisets of this box, where every member
+    is at its cap or no longer fits, and every nonzero multiset of the box
+    lies below one of them.
+
+    Only maximal seeds need exploring, because a state y below a state x
+    (field-wise) finds no escape that x misses.  The core min(y, mu_b) lies
+    below min(x, mu_b), so it is a summand of it, and a nonzero v from
+    core(y) into X_b extends by zero to (v, 0) on core(x), with
+    ker(v, 0) = ker v + (core(x) - core(y)).  Adding the surplus back gives
+    the step from x the kernel class of the step from y plus x - y: its
+    support contains the other's, so every escape from y is an escape from
+    x, and after the sticky cap (a field-wise minimum) the state it reaches
+    still lies above the one y reaches.  By induction on the steps to an
+    escape, each escape reachable from y is reachable from x, and each state
+    reachable from y lies below one reachable from x, whose Hom spaces into
+    every target are at least as large, so y also meets no cap that x does
+    not.  The decision walk of _escape drops a state of the box for the
+    same reason.
     """
     cat = s.catalog
     unit = _packing(cat).unit
     dims = [m.total_dim for m in cat.indecs]
-    sat = _mu_tables(cat)[1]
-    caps = [min(cfg.mult_cap, sat[i] + 1) for i in range(cat.n)]
+    caps = _seed_caps(s, cfg)
     members = s.indices()
     rest = [sum(caps[i] * dims[i] for i in members[t:]) for t in range(len(members) + 1)]
     gens = []
@@ -428,16 +454,77 @@ def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
     return gens
 
 
-def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Optional[str]:
-    """Search for a kernel of a member-sum morphism outside the subcategory.
+def _escape(s: SubcatBits, cfg: CheckConfig, decide: bool) -> Optional[tuple]:
+    """A kernel of a member-sum morphism outside s, as (state, b, kernel class), or None.
 
     Worklist over sticky-capped isomorphism classes, packed as ints; iterating
     single-target kernel steps covers kernels of maps into arbitrary member
     sums, since those are iterated kernels of the restrictions.  From a
     state, the core keeps min(mult, mu) copies per indecomposable; the
     remaining copies land in every kernel untouched and are added back.
-    The frontier and each step's kernel classes are visited in the order of
-    their sorted index tuples, which fixes the first witness.
+
+    The ordered walk (``decide`` false) visits the frontier and each step's
+    kernel classes in the order of their sorted index tuples, which fixes
+    the first witness.  The decision walk (``decide`` true) only answers
+    whether some escape exists: it drops every new state that a seed
+    dominates, that is, every state of the seed box (see _generator_states),
+    since the seed's own search finds whatever escape or cap the dropped
+    state would.  Both walks share the step memos.
+    """
+    cat = s.catalog
+    pk = _packing(cat)
+    guards, sticky, shift, width = pk.guards, pk.sticky, pk.width - 1, pk.width
+    outside = ~s.bits
+    ordered = cat._closure_memo.setdefault("kerstep_packed", {})
+    targets = [(b, pk.mu[b]) for b in s.indices()]
+    frontier = _generator_states(s, cfg)
+    if decide:
+        caps = _seed_caps(s, cfg)
+        box = sum(c * u for c, u in zip(caps, pk.unit)) | guards
+        field = (1 << shift) - 1
+        dims = [(k * width, cat.indecs[k].total_dim) for k in s.indices()]
+    else:
+        frontier.sort(key=pk.unpack)
+    seen = set(frontier)
+    while frontier:
+        state = frontier.pop()
+        for b, mu in targets:
+            # per field min(state, mu): take mu where the guard survives state - mu
+            ge = ((state | guards) - mu) & guards
+            take = ge - (ge >> shift)
+            core = (mu & take) | (state & ~take)
+            if not core:
+                continue  # Hom(state, X_b) = 0: no nonzero morphism
+            surplus = state - core
+            # the largest index in the surplus (-1 for none) fixes the class order
+            key = (core, b, (surplus.bit_length() - 1) // width)
+            classes = ordered.get(key)
+            if classes is None:
+                classes = ordered[key] = _ordered_kernel_classes(cat, pk, *key)
+            for kc, support in classes:
+                kid = kc + surplus
+                if support & outside:
+                    return pk.unpack(state), b, pk.unpack(kid)
+                # the sticky cap: per field min(kid, saturation + 1)
+                ge = ((kid | guards) - sticky) & guards
+                take = ge - (ge >> shift)
+                capped = (sticky & take) | (kid & ~take)
+                if capped and capped not in seen:
+                    seen.add(capped)
+                    # in the seed box: every field within its cap, the dimension within dim_cap
+                    if decide and (box - capped) & guards == guards and sum(
+                            d * (capped >> at & field) for at, d in dims) <= cfg.dim_cap:
+                        continue
+                    frontier.append(capped)
+    return None
+
+
+def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Optional[str]:
+    """Search for a kernel of a member-sum morphism outside the subcategory.
+
+    The decision walk settles the subsets with no escape; a refutation, or
+    any error on the way, reruns the ordered walk, whose first escape is
+    the witness and whose errors are the ones raised.
     """
     if s.is_empty:
         return None
@@ -446,43 +533,11 @@ def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Op
     if s.bits in memo:
         hit = memo[s.bits]
     else:
-        hit = None
-        pk = _packing(cat)
-        guards, sticky, shift, width = pk.guards, pk.sticky, pk.width - 1, pk.width
-        outside = ~s.bits
-        ordered = cat._closure_memo.setdefault("kerstep_packed", {})
-        targets = [(b, pk.mu[b]) for b in s.indices()]
-        frontier = sorted(_generator_states(s, cfg), key=pk.unpack)
-        seen = set(frontier)
-        while frontier and hit is None:
-            state = frontier.pop()
-            for b, mu in targets:
-                # per field min(state, mu): take mu where the guard survives state - mu
-                ge = ((state | guards) - mu) & guards
-                take = ge - (ge >> shift)
-                core = (mu & take) | (state & ~take)
-                if not core:
-                    continue  # Hom(state, X_b) = 0: no nonzero morphism
-                surplus = state - core
-                # the largest index in the surplus (-1 for none) fixes the class order
-                key = (core, b, (surplus.bit_length() - 1) // width)
-                classes = ordered.get(key)
-                if classes is None:
-                    classes = ordered[key] = _ordered_kernel_classes(cat, pk, *key)
-                for kc, support in classes:
-                    kid = kc + surplus
-                    if support & outside:
-                        hit = (pk.unpack(state), b, pk.unpack(kid))
-                        break
-                    # the sticky cap: per field min(kid, saturation + 1)
-                    ge = ((kid | guards) - sticky) & guards
-                    take = ge - (ge >> shift)
-                    capped = (sticky & take) | (kid & ~take)
-                    if capped and capped not in seen:
-                        seen.add(capped)
-                        frontier.append(capped)
-                if hit is not None:
-                    break
+        try:
+            refuted = _escape(s, cfg, decide=True) is not None
+        except SubcatError:
+            refuted = True
+        hit = _escape(s, cfg, decide=False) if refuted else None
         memo[s.bits] = hit
     if hit is None:
         return None

@@ -2,7 +2,9 @@
 
 Each probe runs in a fresh interpreter started with ``-S`` and no
 ``PYTHON*`` variables, so no site ``.pth`` hook or start-up file can import
-these modules first and hide a regression.
+these modules first and hide a regression.  ``-B`` keeps the probes from
+writing ``__pycache__`` into the source tree, since dropping the variables
+also drops a ``PYTHONDONTWRITEBYTECODE`` the suite runs under.
 """
 
 import ast
@@ -41,7 +43,7 @@ def probe(code: str):
     """Run ``code`` in a fresh interpreter; the Python literal it prints last."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(SRC)
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout.splitlines()[-1])

@@ -71,6 +71,36 @@ def test_kernel_search_cap_message(monkeypatch):
         is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
 
 
+
+def wide_outcomes(cat):
+    """Per nonempty subset: is_closed("wide"), or the CapExceeded text."""
+    outcomes = {}
+    for bits in range(1, 1 << cat.n):
+        try:
+            outcomes[bits] = is_closed("wide", SubcatBits(cat, bits))
+        except CapExceeded as exc:
+            outcomes[bits] = ("raised", str(exc))
+    return outcomes
+
+
+def test_decision_walk_keeps_cap_errors_and_witnesses(monkeypatch):
+    """Under every budget the steps straddle, exits and witnesses equal the ordered walk's."""
+    cat = build_builtin("uniserial:4")
+    enumerate_family(cat, "wide", "bruteforce")
+    reached = sorted({cat.algebra.p ** sum(cat.hom_dims[i][b] for i in core)
+                      for core, b in cat._closure_memo["kerstep"]})
+    ordered = _kernel_search._escape
+    raised = set()
+    for budget in reached[:-1]:
+        monkeypatch.setattr(_kernel_search, "KERNEL_ENUM_CAP", budget)
+        got = wide_outcomes(build_builtin("uniserial:4"))
+        with monkeypatch.context() as m:
+            m.setattr(_kernel_search, "_escape", lambda s, cfg, decide: ordered(s, cfg, False))
+            assert got == wide_outcomes(build_builtin("uniserial:4")), budget
+        raised |= {r[0] == "raised" for r in got.values()}
+    assert raised == {True, False}
+
+
 def test_composition_table_is_built_only_by_the_bounded_search():
     cat = build_builtin("uniserial:3")
     assert "pair_images" not in cat._closure_memo

@@ -15,6 +15,7 @@ from subcat.catalog import build_builtin, mid_counts, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
 from subcat._kernel_search import (
+    _escape,
     _kernel_classes,
     _kernel_violation,
     _mid_label,
@@ -208,6 +209,35 @@ def test_kernel_witnesses_match_tuple_reference_nakayama(tmp_path):
         for bits in range(1, 1 << cat.n):
             s = SubcatBits(c, bits)
             assert _kernel_violation(s, cfg, dual) == reference_kernel_violation(s, cfg, dual), bits
+
+
+def assert_decision_matches_ordered(cat, cfgs):
+    """The decision walk finds an escape exactly when the ordered walk does."""
+    for cfg in cfgs:
+        for bits in range(1, 1 << cat.n):
+            s = SubcatBits(cat, bits)
+            assert (_escape(s, cfg, True) is None) == (_escape(s, cfg, False) is None), (bits, cfg)
+
+
+BOTH_CAPS = (CheckConfig(), CheckConfig(4, 32))
+
+
+@pytest.mark.parametrize("descriptor", ["a2", "a3", *(f"an:3:{w}" for w in AN3_WORDS),
+                                        "uniserial:2", "uniserial:3", "uniserial:4"])
+def test_decision_walk_matches_ordered_walk(descriptor):
+    cat = build_builtin(descriptor)
+    for c in (cat, cat.opposite()):
+        assert_decision_matches_ordered(c, BOTH_CAPS)
+
+
+def test_decision_walk_matches_ordered_walk_nakayama(tmp_path):
+    cat = nakayama_a3_rad2(tmp_path)
+    for c in (cat, cat.opposite()):
+        assert_decision_matches_ordered(c, BOTH_CAPS)
+
+
+def test_decision_walk_matches_ordered_walk_an4():
+    assert_decision_matches_ordered(build_builtin("an:4"), (CheckConfig(),))
 
 
 @pytest.mark.parametrize("descriptor,p", [("uniserial:4", 2), ("a3", 3)])
