@@ -59,14 +59,14 @@ from itertools import combinations_with_replacement, product
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits, mid_counts
-from .closures import SubcatBits, fac_contains, sub_contains
+from .closures import SubcatBits, _ext_rows, fac_contains, sub_contains
 from .errors import CapExceeded, SubcatError
-from .linalg import Mat, Subspace, _combine, _pivot_rows, _reduced_rows, pack_row
+from .linalg import Mat, Subspace, _combine, _kron_rows, _pivot_rows, _reduced_rows
 from .rep import _lines, direct_sum, flat_entries, kernel, morphism_from_coeffs
 
 if TYPE_CHECKING:
     from .lattices import CheckConfig
-    from .rep import Morphism
+    from .rep import Morphism, Rep
 
 KERNEL_ENUM_CAP = 1 << 16
 
@@ -97,16 +97,23 @@ def _mid_label(cat: Catalog, mid: ModuleId) -> str:
 
 
 def _ext_violation(s: SubcatBits) -> Optional[str]:
+    """The first member pair, in index order, with an extension middle term outside s.
+
+    One middle-term mask AND per member pair; only a pair whose mask leaves
+    s scans its middle terms, to name the witness.
+    """
     cat = s.catalog
     idxs = s.indices()
+    rows, outside = _ext_rows(cat), ~s.bits
     for i in idxs:
         for j in idxs:
-            for mid in cat.ext_table[(i, j)]:
-                if not s.contains_id(mid):
-                    return (
-                        f"an extension of {cat.names[j]} by {cat.names[i]} has middle "
-                        f"term {_mid_label(cat, mid)}"
-                    )
+            if rows[i][j] & outside:
+                for mid in cat.ext_table[(i, j)]:
+                    if not s.contains_id(mid):
+                        return (
+                            f"an extension of {cat.names[j]} by {cat.names[i]} has middle "
+                            f"term {_mid_label(cat, mid)}"
+                        )
     return None
 
 
@@ -143,25 +150,41 @@ def _pair_images(cat: Catalog, i: int, j: int) -> tuple[tuple, tuple]:
     The probes are the vertices x, then the catalog members X_k.  At vertex
     x the generators are the basis vectors of (X_i)_x, mapped to the columns
     of g_t at x; at member k they are the basis f of Hom(X_k, X_i), mapped to
-    the packed entries of g_t∘f in Hom(X_k, X_j).  The images come with the
-    zero image first, one per distinct span tuple over all g in Hom(X_i, X_j).
+    the packed entries of g_t∘f in Hom(X_k, X_j) (``_composites``).  The
+    images come with the zero image first, one per distinct span tuple over
+    all g in Hom(X_i, X_j).
     """
     memo = cat._closure_memo.setdefault("pair_images", {})
     if (i, j) not in memo:
         p = cat.algebra.p
         gs = cat.hom_pair_basis(i, j)
         columns = [[c.transpose().rows for c in g.comps] for g in gs]
+        flats = [flat_entries(g) for g in gs]
         table = tuple(
             tuple(tuple(cols[x][e] for cols in columns) for e in range(d))
             for x, d in enumerate(cat.indecs[i].dims)
         ) + tuple(
-            tuple(tuple(pack_row(p, flat_entries(g.compose(f))) for g in gs)
-                  for f in cat.hom_pair_basis(k, i))
+            tuple(_composites(p, f, cat.indecs[j], flats) for f in cat.hom_pair_basis(k, i))
             for k in range(cat.n)
         )
         images = {_image(p, table, c): None for c in product(range(p), repeat=len(gs))}
         memo[(i, j)] = (table, tuple(images))
     return memo[(i, j)]
+
+
+def _composites(p: int, f: Morphism, target: Rep, flats: Sequence[Sequence[int]]) -> tuple:
+    """The packed entries of g∘f, for f: X -> Y and each g: Y -> target given by its entries.
+
+    vec(g_x f_x) = (I kron f_x^T) vec g_x at each vertex x, so g∘f is one row
+    combination of the rows of the block column I kron f_x.
+    """
+    offs, total = [], 0
+    for d, e in zip(target.dims, f.source.dims):
+        offs.append(total)
+        total += d * e
+    rows = _kron_rows(p, total, ([(1, d, c, off)] for d, c, off in zip(target.dims, f.comps, offs)
+                                 if d and c.nrows))
+    return tuple(_combine(p, g, rows) for g in flats)
 
 
 def _kernel_sizes(p: int, sizes: Sequence[int], images: Sequence[tuple]) -> tuple[int, ...]:

@@ -13,17 +13,26 @@ computed once per catalog by fraction-free elimination: a profile decodes by
 integer dot products and a divisibility test by D.  ``_class_of`` memoizes
 the decodes of a complete catalog, and every reader of a class goes through it.
 
-The extension table is built in two passes.  First, per pair (i, j), one
-elimination grows the echelon rows of the coboundaries B by the cocycles Z;
-the cocycles that grow them are a basis of Ext^1(X_j, X_i) = Z/B, and B is
-the image of the Hom system of the reversed pair (j, i).  Then the
-zero class is the split middle X_i + X_j, by Krull-Schmidt, and each other
-class theta has its Hom profile read off the long exact sequence:
+The Hom system of a pair, the relation rows of its cocycles and each pull-back
+theta -> theta.f map vec X to vec(A X B) = (A kron B^T) vec X on row-major
+blocks, and are built as packed Kronecker rows (``linalg._kron_rows``).  A
+pair with no common support vertex has no unknowns: Hom = 0, with no solve.
+
+The extension table is built in two passes.  First, per pair (i, j),
+Ext^1(X_j, X_i) = Z/B, where B is the image of the Hom system of the pair
+(j, i), of dimension unknowns - dim Hom(X_j, X_i), and Z is all of theta
+unless relations constrain it.  Where this rank count gives dim Z = dim B,
+Ext^1 = 0 and nothing more is eliminated (if relations constrain Z, the
+constraint must still vanish on B); elsewhere one elimination grows the
+echelon rows of B by the cocycles, and those that grow them are a basis of
+Z/B.  Every pair passes the EXT_COSET_CAP check before any middle is
+identified.  Then the zero class is the split middle X_i + X_j, and each
+other class theta has its Hom profile read off the long exact sequence:
 dim Hom(X_k, E) = h(k, i) + h(k, j) - rank of f -> [theta.f] from
 Hom(X_k, X_j) into Ext^1(X_k, X_i).  With the dimension vector, that profile
-decodes the middle on a complete catalog, so no middle term is assembled or
-solved for Hom.  A user catalog, or a failed decode, assembles the middle and
-identifies it through ``identify``, so a missing summand raises UnknownModule.
+decodes the middle on a complete catalog, so no middle is assembled.  A user
+catalog, or a failed decode, assembles the middle and identifies it through
+``identify``, so a missing summand raises UnknownModule.
 """
 
 from __future__ import annotations
@@ -45,11 +54,12 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    _block,
     _combine,
+    _kron_rows,
     _pivot_insert,
     _pivot_rows,
     nullspace,
-    pack_row,
     rref,
     unpack_row,
 )
@@ -134,11 +144,12 @@ class Catalog:
         self._rep_cache: dict[ModuleId, Rep] = {}
         self._id_cache: dict = {}
         n = len(self.indecs)
+        support = [sum(1 << v for v, d in enumerate(m.dims) if d) for m in self.indecs]
         systems = {(i, j): _hom_system(self.indecs[i], self.indecs[j])
-                   for i in range(n) for j in range(n)}
+                   for i in range(n) for j in range(n) if support[i] & support[j]}
         self._hom_bases: dict[tuple[int, int], list[Morphism]] = {
-            (i, j): _hom_basis(self.indecs[i], self.indecs[j], *system)
-            for (i, j), system in systems.items()
+            (i, j): _hom_basis(self.indecs[i], self.indecs[j], *systems[(i, j)])
+            if (i, j) in systems else [] for i in range(n) for j in range(n)
         }
         self.hom_dims = tuple(
             tuple(len(self._hom_bases[(i, j)]) for j in range(n)) for i in range(n)
@@ -147,7 +158,7 @@ class Catalog:
         self._inverse = _invert_over_rationals(self.hom_dims)
         self.simples = tuple(k for k, m in enumerate(self.indecs) if m.total_dim == 1)
         self._vertex_simple = self._map_vertex_simples()
-        spaces = {(i, j): self._ext_space(i, j, systems[(j, i)][0])
+        spaces = {(i, j): self._ext_space(i, j, systems.get((j, i), (None,))[0])
                   for i in range(n) for j in range(n)}
         self.ext_table: dict[tuple[int, int], frozenset] = {
             (i, j): frozenset(self._ext_middles(i, j, spaces)) for i in range(n) for j in range(n)
@@ -216,104 +227,68 @@ class Catalog:
 
     # -- extension middle terms --------------------------------------------------
 
-    def _cocycles(self, i: int, j: int) -> tuple[list[int], Mat]:
-        """Theta offsets per arrow, and the cocycles Z of the pair as an RREF basis.
+    def _cocycle_constraint(self, i: int, j: int) -> tuple[list[int], int, list]:
+        """Theta offsets per arrow, their total, and the packed relation rows whose nullspace is Z.
 
-        The middle is parameterized on blocks [[L_a, theta_a], [0, N_a]] with
-        L = indec_i and N = indec_j; the relation constraints make the
-        admissible theta a linear space.
+        The middle acts on arrow a by [[L_a, theta_a], [0, N_a]], L = indec_i
+        and N = indec_j.  A relation term c * q a r (paths q after a, r
+        before) gives the rows c * (L(q) kron N(r)^T) on theta_a.
         """
         alg = self.algebra
-        p = alg.p
         L, N = self.indecs[i], self.indecs[j]
         offs = []
         total = 0
         for a in alg.arrows:
             offs.append(total)
             total += L.dims[a.target] * N.dims[a.source]
+        blocks = [[term for coeff, path in rel.terms if coeff
+                   for term in _split_terms(coeff, path, L, N, offs)]
+                  for rel in alg.relations]
+        return offs, total, _kron_rows(alg.p, total, (b for b in blocks if b))
 
-        def theta_index(arrow_idx: int, r: int, c: int) -> int:
-            a = alg.arrows[arrow_idx]
-            return offs[arrow_idx] + r * N.dims[a.source] + c
+    def _ext_space(self, i: int, j: int, reverse: Optional[Mat]) -> _ExtSpace:
+        """Ext^1(indec_j, indec_i) = Z/B in theta coordinates, eliminated only when nonzero.
 
-        rows = []
-        for rel in alg.relations:
-            block_rows = L.dims[rel.target]
-            block_cols = N.dims[rel.source]
-            coeff_rows = [[0] * total for _ in range(block_rows * block_cols)]
-            for coeff, path in rel.terms:
-                if coeff == 0:
-                    continue
-                for t in range(len(path)):
-                    pre = path[:t]
-                    post = path[t + 1 :]
-                    npre = _path_matrix_or_identity(N, pre, alg.arrows[path[t]].source)
-                    lpost = _path_matrix_or_identity(L, post, alg.arrows[path[t]].target)
-                    a_t = path[t]
-                    tg = alg.arrows[a_t].target
-                    sr = alg.arrows[a_t].source
-                    for r in range(block_rows):
-                        for c in range(block_cols):
-                            out_row = coeff_rows[r * block_cols + c]
-                            for alpha in range(L.dims[tg]):
-                                la = lpost.entry(r, alpha)
-                                if la == 0:
-                                    continue
-                                for beta in range(N.dims[sr]):
-                                    nb = npre.entry(beta, c)
-                                    if nb == 0:
-                                        continue
-                                    idx = theta_index(a_t, alpha, beta)
-                                    out_row[idx] = (out_row[idx] + coeff * la * nb) % p
-            rows.extend(tuple(r) for r in coeff_rows)
-        if rows:
-            constraint = Mat.from_rows(p, [list(r) for r in rows], ncols=total)
-            return offs, nullspace(constraint)
-        return offs, Mat.identity(p, total)
-
-    def _ext_space(self, i: int, j: int, reverse: Mat) -> _ExtSpace:
-        """Ext^1(indec_j, indec_i) = Z/B in theta coordinates, in one elimination.
-
-        ``reverse``, the Hom system of the pair (j, i), maps s to theta =
-        s*N - L*s with rows laid out like theta, so the coboundaries B are the
-        row span of its transpose.  Their echelon rows are grown by the cocycle
-        basis; the cocycles that grow them are a basis of Z/B, and B lies in Z
-        exactly when the final rank is dim Z.
+        ``reverse`` is the Hom system of (j, i), None without unknowns; B is the
+        row span of its transpose, in Z when the constraint vanishes on it.
         """
         p = self.algebra.p
-        offs, cocycles = self._cocycles(i, j)
-        cobound = _pivot_rows(p, reverse.transpose().rows)
+        offs, total, rows = self._cocycle_constraint(i, j)
+        constraint = Mat(p, len(rows), total, tuple(rows)) if rows else None
+        zs = nullspace(constraint).rows if rows else None
+        cobound_dim = 0 if reverse is None else reverse.ncols - self.hom_dims[j][i]
+        if (total if zs is None else len(zs)) == cobound_dim:
+            if cobound_dim and rows and not constraint.mul(reverse).is_zero:
+                raise CatalogError("coboundaries escaped the cocycle space")
+            return _ExtSpace(tuple(offs), total, (), {})
+        cobound = _pivot_rows(p, reverse.transpose().rows) if reverse is not None else {}
         piv = dict(cobound)
-        coset = tuple(z for z in cocycles.rows if _pivot_insert(p, piv, z))
-        if len(piv) != cocycles.nrows:
+        zs = Mat.identity(p, total).rows if zs is None else zs
+        coset = tuple(z for z in zs if _pivot_insert(p, piv, z))
+        if len(piv) != len(zs):
             raise CatalogError("coboundaries escaped the cocycle space")
         if len(coset) > EXT_COSET_CAP:
             raise CapExceeded(
                 f"extension space of dimension {len(coset)} exceeds cap {EXT_COSET_CAP}"
             )
-        return _ExtSpace(tuple(offs), cocycles.ncols, coset, cobound)
+        return _ExtSpace(tuple(offs), total, coset, cobound)
 
     def _ext_middles(self, i: int, j: int, spaces: dict) -> set:
         """Middle terms of all extensions with submodule indec_i and quotient indec_j.
 
         theta differing by a coboundary give isomorphic middles, so theta runs
-        over combinations of the coset basis of ``spaces[(i, j)]``.  The zero
-        combination is the split extension, indec_i + indec_j.  Every other
-        middle is decoded from its dimension vector and its Hom profile, read
-        off the long exact sequence (_middle_profiles).  Only a catalog not
-        marked complete, or a failed decode, assembles the middle and
-        identifies it.
+        over combinations of the coset basis of ``spaces[(i, j)]``; the zero
+        combination is the split extension.  Every other middle is decoded
+        from its dimension vector and Hom profile (_middle_profiles), or else
+        assembled and identified.
         """
         middles = {tuple(sorted((i, j)))}
-        p = self.algebra.p
-        space = spaces[(i, j)]
         L, N = self.indecs[i], self.indecs[j]
         dims = tuple(map(add, L.dims, N.dims))
         for theta, prof in self._middle_profiles(i, j, spaces):
             mid = self._class_of(dims, prof)
             if mid is None:
-                mid = self.identify(
-                    self._assemble_extension(L, N, unpack_row(p, theta, space.total), space.offs))
+                mid = self.identify(self._assemble_extension(L, N, theta, spaces[(i, j)].offs))
             middles.add(mid)
         return middles
 
@@ -324,69 +299,52 @@ class Catalog:
         h(k, i) + h(k, j) - rank delta, where delta sends f in Hom(X_k, X_j) to
         the class of theta.f (theta_a f_s(a) on each arrow a) in Ext^1(X_k, X_i),
         the Z/B of the pair (i, k).  delta vanishes unless both spaces are
-        nonzero.  theta.f is linear in theta, so it is pulled back once per
-        coset basis row.
+        nonzero.  theta.f is linear in theta, so each coset basis row is pulled
+        back once per f.
         """
         p = self.algebra.p
-        coset = spaces[(i, j)].coset
-        if not coset:
+        space = spaces[(i, j)]
+        if not space.coset:
             return
+        thetas = [unpack_row(p, z, space.total) for z in space.coset]
         h = self.hom_dims
         base = [h[k][i] + h[k][j] for k in range(self.n)]
         pulled = {
-            k: [[self._pull_back(z, i, j, k, f, spaces) for z in coset]
-                for f in self.hom_pair_basis(k, j)]
+            k: [self._pull_back(thetas, i, k, f, spaces) for f in self.hom_pair_basis(k, j)]
             for k in range(self.n)
             if h[k][j] and spaces[(i, k)].coset
         }
-        for coeffs in product(range(p), repeat=len(coset)):
+        for coeffs in product(range(p), repeat=len(space.coset)):
             if not any(coeffs):
                 continue
             prof = list(base)
             for k, rows in pulled.items():
                 piv = dict(spaces[(i, k)].cobound)
                 prof[k] -= sum(_pivot_insert(p, piv, _combine(p, coeffs, row)) for row in rows)
-            yield _combine(p, coeffs, coset), tuple(prof)
+            yield _combine(p, coeffs, space.coset), tuple(prof)
 
-    def _pull_back(self, theta, i: int, j: int, k: int, f: Morphism, spaces: dict):
-        """theta.f for f: X_k -> X_j, packed in the theta coordinates of the pair (i, k)."""
-        alg = self.algebra
-        p = alg.p
-        src, dst = spaces[(i, j)], spaces[(i, k)]
-        lt_dims, ns_dims, ks_dims = self.indecs[i].dims, self.indecs[j].dims, self.indecs[k].dims
-        entries = unpack_row(p, theta, src.total)
-        out = [0] * dst.total
-        for a_idx, a in enumerate(alg.arrows):
-            ns, ks = ns_dims[a.source], ks_dims[a.source]
-            fs = f.comps[a.source].to_lists()
-            for r in range(lt_dims[a.target]):
-                row = entries[src.offs[a_idx] + r * ns : src.offs[a_idx] + (r + 1) * ns]
-                for c in range(ks):
-                    out[dst.offs[a_idx] + r * ks + c] = sum(
-                        x * fs[e][c] for e, x in enumerate(row)
-                    ) % p
-        return pack_row(p, out)
+    def _pull_back(self, thetas: list, i: int, k: int, f: Morphism, spaces: dict) -> list:
+        """theta.f, packed for the pair (i, k), for each theta of (i, j) given as entries.
 
-    def _assemble_extension(self, L: Rep, N: Rep, theta_entries: Sequence[int],
-                            offs: Sequence[int]) -> Rep:
-        alg = self.algebra
-        p = alg.p
-        dims = tuple(L.dims[v] + N.dims[v] for v in range(alg.n_vertices))
+        vec(theta_a f_s(a)) = (I kron f_s(a)^T) vec theta_a on each arrow a.
+        """
+        dst, lt, p = spaces[(i, k)], self.indecs[i].dims, self.algebra.p
+        rows = _kron_rows(p, dst.total, (
+            [(1, lt[a.target], f.comps[a.source], dst.offs[idx])]
+            for idx, a in enumerate(self.algebra.arrows) if lt[a.target] and f.comps[a.source].nrows))
+        return [_combine(p, theta, rows) for theta in thetas]
+
+    def _assemble_extension(self, L: Rep, N: Rep, theta, offs: Sequence[int]) -> Rep:
+        """The middle of a packed theta: arrow a acts by [[L_a, theta_a], [0, N_a]]."""
+        p = self.algebra.p
         mats = []
-        for a_idx, a in enumerate(alg.arrows):
-            lt, ns = L.dims[a.target], N.dims[a.source]
-            theta_rows = [
-                [theta_entries[offs[a_idx] + r * ns + c] for c in range(ns)] for r in range(lt)
-            ]
-            theta = Mat.from_rows(p, theta_rows, ncols=ns)
-            block = Mat.block(
-                p,
-                [[L.mats[a_idx], theta], [None, N.mats[a_idx]]],
-                [L.dims[a.target], N.dims[a.target]],
-                [L.dims[a.source], N.dims[a.source]],
-            )
-            mats.append(block)
-        return Rep(alg, dims, tuple(mats))
+        for idx, a in enumerate(self.algebra.arrows):
+            ls, lt, ns = L.dims[a.source], L.dims[a.target], N.dims[a.source]
+            rows = _kron_rows(p, ls + ns, ([(1, 1, L.mats[idx], 0),
+                                            (1, 1, _block(p, theta, offs[idx], lt, ns), ls)],
+                                           [(1, 1, N.mats[idx], ls)]))
+            mats.append(Mat(p, len(rows), ls + ns, tuple(rows)))
+        return Rep(self.algebra, tuple(map(add, L.dims, N.dims)), tuple(mats))
 
     def ext_middle_terms(self, i: int, j: int) -> frozenset:
         """All middle-term decompositions for extensions of indec_j by indec_i."""
@@ -522,13 +480,20 @@ class Catalog:
 # -- helpers --------------------------------------------------------------------------
 
 
-def _path_matrix_or_identity(rep: Rep, path: Sequence[int], endpoint: int) -> Mat:
-    """Path matrix on rep, or the identity on the given vertex for empty paths."""
-    if not path:
-        return Mat.identity(rep.algebra.p, rep.dims[endpoint])
-    from .rep import path_matrix
+def _split_terms(coeff: int, path: Sequence[int], L: Rep, N: Rep, offs: Sequence[int]):
+    """The terms (coeff, L(after a), N(before a)^T, offset of theta_a) of a path split at each arrow a.
 
-    return path_matrix(rep, path)
+    Path matrices grow one product at a time; a term with a zero factor is dropped.
+    """
+    arrows = L.algebra.arrows
+    post = [L.dims[arrows[path[-1]].target]]
+    for a in reversed(path[1:]):
+        post.append(L.mats[a] if isinstance(post[-1], int) else post[-1].mul(L.mats[a]))
+    pre = N.dims[arrows[path[0]].source]
+    for a, after in zip(path, reversed(post)):
+        if not any(isinstance(f, Mat) and f.is_zero for f in (pre, after)):
+            yield coeff, after, pre, offs[a]
+        pre = pre.mul(N.transposed(a)) if isinstance(pre, Mat) else N.transposed(a)
 
 
 def _nonunits(m: Rep, basis: Sequence[Morphism], cap: int,

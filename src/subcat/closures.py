@@ -25,6 +25,11 @@ every member would not compute.  The oracles keep their algorithms and
 their order of search; they still read neither the Hom-orthogonality
 perps nor the lattice tables of `lattices`, which is what keeps them
 independent of the enumeration they check.
+
+The Serre closure ORs masks built once per catalog: per member, the bits of
+its subquotient classes, and per member pair, the bits of the summands of
+its extension middle terms (``_ext_rows``, shared with the lattice path
+and the kernel oracle's extension check).
 """
 
 from __future__ import annotations
@@ -424,8 +429,8 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
 # -- Serre closure -----------------------------------------------------------------------
 
 
-def _subquotient_indices(cat: Catalog, i: int) -> frozenset[int]:
-    """Catalog indices appearing in submodules or quotients of indec_i, memoized on the catalog."""
+def _subquotient_mask(cat: Catalog, i: int) -> int:
+    """Bits of the catalog indices in submodules or quotients of indec_i, memoized on the catalog."""
     memo = cat._closure_memo.setdefault("subquotients", {})
     if i not in memo:
         found: set[int] = set()
@@ -433,25 +438,46 @@ def _subquotient_indices(cat: Catalog, i: int) -> frozenset[int]:
         for s in all_submodules(m):
             found.update(cat.identify_sub(s))
             found.update(cat.identify(quotient(m, s)[0]))
-        memo[i] = frozenset(found)
+        memo[i] = sum(1 << k for k in found)
     return memo[i]
 
 
+def _ext_rows(cat: Catalog) -> tuple[tuple[int, ...], ...]:
+    """Bits of every summand of a middle term of an extension between i and j, either way."""
+    memo = cat._closure_memo
+    if "ext_rows" not in memo:
+        def row(i: int) -> tuple[int, ...]:
+            out = []
+            for j in range(cat.n):
+                bits = 0
+                for mid in cat.ext_table[(i, j)] | cat.ext_table[(j, i)]:
+                    for k in mid:
+                        bits |= 1 << k
+                out.append(bits)
+            return tuple(out)
+
+        memo["ext_rows"] = tuple(row(i) for i in range(cat.n))
+    return memo["ext_rows"]
+
+
 def serre_closure(c: SubcatBits) -> SubcatBits:
-    """Least fixpoint adding subquotient classes and extension middle terms."""
+    """Least fixpoint adding subquotient classes and extension middle terms.
+
+    Each round ORs the subquotient mask of every member, then the middle-term
+    mask of every member pair.
+    """
     cat = c.catalog
+    rows = _ext_rows(cat)
     bits = c.bits
     while True:
+        idxs = SubcatBits(cat, bits).indices()
         add = 0
-        idxs = [i for i in range(cat.n) if (bits >> i) & 1]
         for i in idxs:
-            for k in _subquotient_indices(cat, i):
-                add |= 1 << k
+            add |= _subquotient_mask(cat, i)
         for i in idxs:
+            row = rows[i]
             for j in idxs:
-                for mid in cat.ext_table[(i, j)]:
-                    for k in mid_counts(mid):
-                        add |= 1 << k
+                add |= row[j]
         if add & ~bits == 0:
             return SubcatBits(cat, bits)
         bits |= add

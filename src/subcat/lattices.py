@@ -56,7 +56,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .catalog import Catalog, _is_brick
-from .closures import SubcatBits, serre_closure, torf_closure, tors_closure
+from .closures import SubcatBits, _ext_rows, serre_closure, torf_closure, tors_closure
 from .errors import ShapeError
 from .linalg import _Frozen, _slot_setters
 
@@ -199,24 +199,6 @@ def _next_closure_enum(cl: Callable[[int], int], n: int) -> list[int]:
 
 
 # -- exact lattice path ------------------------------------------------------------------
-
-
-def _ext_rows(cat: Catalog) -> tuple[tuple[int, ...], ...]:
-    """Bits of every summand of a middle term of an extension between i and j, either way."""
-    memo = cat._closure_memo
-    if "ext_rows" not in memo:
-        def row(i: int) -> tuple[int, ...]:
-            out = []
-            for j in range(cat.n):
-                bits = 0
-                for mid in cat.ext_table[(i, j)] | cat.ext_table[(j, i)]:
-                    for k in mid:
-                        bits |= 1 << k
-                out.append(bits)
-            return tuple(out)
-
-        memo["ext_rows"] = tuple(row(i) for i in range(cat.n))
-    return memo["ext_rows"]
 
 
 def _ext_closure(rows: tuple[tuple[int, ...], ...], bits: int) -> int:

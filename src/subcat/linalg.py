@@ -16,6 +16,7 @@ spans share.  Everything is an immutable value.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 from math import isqrt
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -110,14 +111,76 @@ def _reduced_rows(p: int, vectors: Iterable) -> tuple:
 
 def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
     """The linear combination of packed vectors with these coefficients."""
+    acc = 0 if p == 2 else [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = acc ^ v if p == 2 else [a + c * b for a, b in zip(acc, v)]
+    return acc if p == 2 else tuple(a % p for a in acc)
+
+
+def _kron_rows(p: int, ncols: int, blocks: Iterable[Sequence[tuple]]) -> list:
+    """Packed rows of ncols columns, block after block: the sum of c * (A kron B), placed at
+    column off, over a block's terms (c, A, B, off); an int factor d is the identity I_d.
+
+    Row r * B.nrows + s of A kron B holds A[r, k] B[s, l] at column k * B.ncols
+    + l, so vec(A X B) = (A kron B^T) vec X, row-major.  Over F_2 it is A's row
+    with its bits spread B.ncols apart, times B's row: no carries.
+    """
+    out: list = []
+    for block in blocks:
+        start, acc = len(out), None
+        for c, a, b, off in block:
+            w = b if b.__class__ is int else b.ncols
+            if p == 2:
+                at = start
+                for x in range(a) if a.__class__ is int else a.rows:
+                    s = (1 << x * w + off if a.__class__ is int else _spread(x, w, off)) if c & 1 else 0
+                    for y in range(b) if b.__class__ is int else b.rows:
+                        v = s << y if b.__class__ is int else s * y
+                        if at < len(out):
+                            out[at] ^= v
+                        else:
+                            out.append(v)
+                        at += 1
+                continue
+            a_rows = _identity_rows(p, a) if a.__class__ is int else a.rows
+            b_rows = _identity_rows(p, b) if b.__class__ is int else b.rows
+            acc = acc or [[0] * ncols for _ in range(len(a_rows) * len(b_rows))]
+            for row, (ar, br) in zip(acc, product(a_rows, b_rows)):
+                for k, e in enumerate(ar):
+                    if e:
+                        at = off + k * w
+                        row[at:at + w] = [u + c * e * v for u, v in zip(row[at:at + w], br)]
+        if acc:
+            out += (tuple(v % p for v in row) for row in acc)
+    return out
+
+
+def _block(p: int, row, start: int, nrows: int, ncols: int) -> "Mat":
+    """The nrows x ncols matrix read row-major from column start of a packed row."""
     if p == 2:
-        acc = 0
-        for c, v in zip(coeffs, vectors):
-            if c:
-                acc ^= v
-        return acc
-    return tuple(sum(c * v[e] for c, v in zip(coeffs, vectors)) % p
-                 for e in range(len(vectors[0])))
+        mask = (1 << ncols) - 1
+        return Mat(p, nrows, ncols, tuple(row >> start + r * ncols & mask for r in range(nrows)))
+    return Mat(p, nrows, ncols, tuple(row[start + r * ncols:start + (r + 1) * ncols]
+                                      for r in range(nrows)))
+
+
+def _spread(row: int, w: int, off: int) -> int:
+    """An F_2 row with bit k moved to bit k * w + off."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= 1 << (low.bit_length() - 1) * w + off
+        row ^= low
+    return out
+
+
+@cache
+def _identity_rows(p: int, n: int) -> tuple:
+    """The packed rows of the n x n identity."""
+    if p == 2:
+        return tuple(1 << i for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class _Frozen:
@@ -214,9 +277,7 @@ class Mat(_Frozen):
     @staticmethod
     def identity(p: int, n: int) -> "Mat":
         _check_prime(p)
-        if p == 2:
-            return Mat(p, n, n, tuple(1 << i for i in range(n)))
-        return Mat(p, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return Mat(p, n, n, _identity_rows(p, n))
 
     # -- access ------------------------------------------------------------
 
@@ -290,26 +351,21 @@ class Mat(_Frozen):
                     rem &= rem - 1
                 out.append(acc)
             return Mat(2, self.nrows, other.ncols, tuple(out))
-        out_rows = []
-        for r in self.rows:
-            row = [0] * other.ncols
-            for k, a in enumerate(r):
-                if a:
-                    brow = other.rows[k]
-                    for j in range(other.ncols):
-                        row[j] = (row[j] + a * brow[j]) % self.p
-            out_rows.append(tuple(row))
-        return Mat(self.p, self.nrows, other.ncols, tuple(out_rows))
+        zero = (0,) * other.ncols
+        rows = tuple(_combine(self.p, r, other.rows) if other.rows else zero for r in self.rows)
+        return Mat(self.p, self.nrows, other.ncols, rows)
 
     __matmul__ = mul
 
     def transpose(self) -> "Mat":
         if self.p == 2:
-            rows = tuple(
-                sum(((self.rows[i] >> j) & 1) << i for i in range(self.nrows))
-                for j in range(self.ncols)
-            )
-            return Mat(2, self.ncols, self.nrows, rows)
+            cols = [0] * self.ncols
+            for i, row in enumerate(self.rows):
+                while row:
+                    low = row & -row
+                    cols[low.bit_length() - 1] |= 1 << i
+                    row ^= low
+            return Mat(2, self.ncols, self.nrows, tuple(cols))
         rows = tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols))
         return Mat(self.p, self.ncols, self.nrows, rows)
 
@@ -330,26 +386,6 @@ class Mat(_Frozen):
         if self.ncols != other.ncols:
             raise ShapeError("vstack needs equal column counts")
         return Mat(self.p, self.nrows + other.nrows, self.ncols, self.rows + other.rows)
-
-    @staticmethod
-    def block(p: int, grid: Sequence[Sequence[Optional["Mat"]]],
-              row_dims: Sequence[int], col_dims: Sequence[int]) -> "Mat":
-        """Assemble a block matrix; None entries mean zero blocks."""
-        brows = []
-        for bi, blocks in enumerate(grid):
-            strip = None
-            for bj, blk in enumerate(blocks):
-                piece = blk if blk is not None else Mat.zeros(p, row_dims[bi], col_dims[bj])
-                if (piece.nrows, piece.ncols) != (row_dims[bi], col_dims[bj]):
-                    raise ShapeError("block shape mismatch")
-                strip = piece if strip is None else strip.hstack(piece)
-            if strip is None:
-                strip = Mat.zeros(p, row_dims[bi], 0)
-            brows.append(strip)
-        out = brows[0] if brows else Mat.zeros(p, 0, sum(col_dims))
-        for strip in brows[1:]:
-            out = out.vstack(strip)
-        return out
 
     def select_columns(self, cols: Sequence[int]) -> "Mat":
         if self.p == 2:
@@ -380,21 +416,25 @@ def rref(m: Mat) -> Echelon:
 
 
 def nullspace(m: Mat) -> Mat:
-    """Canonical basis (as rows) of the right nullspace {x : m @ x = 0}."""
-    ech = rref(m)
-    piv = set(ech.pivots)
-    free = [j for j in range(m.ncols) if j not in piv]
+    """Canonical basis (as rows) of the right nullspace {x : m @ x = 0}.
+
+    Column j off the pivots of the reduced rows gives e_j minus column j at the pivots.
+    """
+    p = m.p
+    rows = _reduced_rows(p, m.rows)
+    pivots = [_lead(p, r) for r in rows]
     vecs = []
-    for j in free:
+    for j in sorted(set(range(m.ncols)).difference(pivots)):
+        if p == 2:
+            vecs.append(1 << j | sum(1 << pc for r, pc in zip(rows, pivots) if r >> j & 1))
+            continue
         v = [0] * m.ncols
         v[j] = 1
-        for r, pc in enumerate(ech.pivots):
-            coeff = ech.matrix.entry(r, j)
-            if coeff:
-                v[pc] = (-coeff) % m.p
-        vecs.append(pack_row(m.p, v))
-    rows = _reduced_rows(m.p, vecs)
-    return Mat(m.p, len(rows), m.ncols, rows)
+        for r, pc in zip(rows, pivots):
+            v[pc] = -r[j] % p
+        vecs.append(tuple(v))
+    rows = _reduced_rows(p, vecs)
+    return Mat(p, len(rows), m.ncols, rows)
 
 
 class Solution(NamedTuple):
@@ -516,20 +556,9 @@ class Subspace(_Frozen):
 
     def vectors(self):
         """Iterate all packed vectors of the subspace (p^dim of them)."""
-        from itertools import product
-
+        zero = pack_row(self.p, (0,) * self.ambient_dim)
         for coeffs in product(range(self.p), repeat=self.dim):
-            if self.p == 2:
-                v = 0
-                for c, r in zip(coeffs, self.basis.rows):
-                    if c:
-                        v ^= r
-            else:
-                v = (0,) * self.ambient_dim
-                for c, r in zip(coeffs, self.basis.rows):
-                    if c:
-                        v = tuple((a + c * b) % self.p for a, b in zip(v, r))
-            yield v
+            yield _combine(self.p, coeffs, self.basis.rows) if coeffs else zero
 
 
 _sub_ambient_dim, _sub_basis = _slot_setters(Subspace)

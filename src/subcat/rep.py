@@ -16,13 +16,14 @@ from .errors import CapExceeded, ShapeError
 from .linalg import (
     Mat,
     Subspace,
+    _block,
     _check_prime,
     _Frozen,
+    _kron_rows,
     _slot_setters,
     nullspace,
     pack_row,
     rref,
-    unpack_row,
 )
 
 SUBMODULE_DIM_CAP = 12
@@ -127,13 +128,14 @@ class Rep(_Frozen):
     Hashed by value, once: catalogs memoize per-module work on Rep keys.
     """
 
-    __slots__ = ("algebra", "dims", "mats", "_hash")
+    __slots__ = ("algebra", "dims", "mats", "_hash", "_columns")
 
     def __init__(self, algebra: Algebra, dims: tuple[int, ...], mats: tuple[Mat, ...]):
         _rep_algebra(self, algebra)
         _rep_dims(self, dims)
         _rep_mats(self, mats)
         _rep_hash(self, None)
+        _rep_columns(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -141,6 +143,16 @@ class Rep(_Frozen):
             h = hash(self._values(self))
             _rep_hash(self, h)
         return h
+
+    def transposed(self, idx: int) -> Mat:
+        """Arrow idx's matrix transposed, built once for the Hom systems out of this module."""
+        cols = self._columns
+        if cols is None:
+            cols = [None] * len(self.mats)
+            _rep_columns(self, cols)
+        if cols[idx] is None:
+            cols[idx] = self.mats[idx].transpose()
+        return cols[idx]
 
     @property
     def total_dim(self) -> int:
@@ -166,7 +178,7 @@ class Rep(_Frozen):
         return Rep(algebra, dims, tuple(packed))
 
 
-_rep_algebra, _rep_dims, _rep_mats, _rep_hash = _slot_setters(Rep)
+_rep_algebra, _rep_dims, _rep_mats, _rep_hash, _rep_columns = _slot_setters(Rep)
 
 
 class Morphism(_Frozen):
@@ -315,31 +327,25 @@ def subrep_is_stable(s: SubRep) -> bool:
 def _hom_system(m: Rep, n: Rep) -> tuple[Mat, tuple[int, ...]]:
     """Linear system whose nullspace is Hom(m, n), plus per-vertex offsets.
 
-    Row block a holds f_t(a) m_a - n_a f_s(a): the map of Ringel's standard
-    sequence, whose image is the coboundaries of Ext^1(m, n).
+    The unknowns are the f_v, row-major at offs[v].  Row block a holds
+    vec(f_t(a) m_a - n_a f_s(a)) = (I kron m_a^T) vec f_t - (n_a kron I) vec f_s,
+    the map of Ringel's standard sequence, whose image is the coboundaries of
+    Ext^1(m, n).  A pair with no common support vertex has no unknowns, so a
+    catalog skips its system: Hom = 0, and no coboundary.
     """
     if m.algebra != n.algebra:
         raise ShapeError("representations over different algebras")
     alg = m.algebra
-    p = alg.p
     offs = []
     total = 0
     for v in range(alg.n_vertices):
         offs.append(total)
         total += m.dims[v] * n.dims[v]
-    rows = []
-    for idx, a in enumerate(alg.arrows):
-        s, t = a.source, a.target
-        ma, na = m.mats[idx], n.mats[idx]
-        for r in range(n.dims[t]):
-            for c in range(m.dims[s]):
-                row = [0] * total
-                for k in range(m.dims[t]):
-                    row[offs[t] + r * m.dims[t] + k] += ma.entry(k, c)
-                for k in range(n.dims[s]):
-                    row[offs[s] + k * m.dims[s] + c] -= na.entry(r, k)
-                rows.append(pack_row(p, row))
-    return Mat(p, len(rows), total, tuple(rows)), tuple(offs)
+    rows = _kron_rows(alg.p, total, (
+        ((1, n.dims[a.target], m.transposed(idx), offs[a.target]),
+         (-1, n.mats[idx], m.dims[a.source], offs[a.source]))
+        for idx, a in enumerate(alg.arrows) if n.dims[a.target] and m.dims[a.source]))
+    return Mat(alg.p, len(rows), total, tuple(rows)), tuple(offs)
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
@@ -355,20 +361,10 @@ def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
 
 def _hom_basis(m: Rep, n: Rep, sys_mat: Mat, offs: Sequence[int]) -> list[Morphism]:
     """The morphisms read off the nullspace of the Hom system (sys_mat, offs) of (m, n)."""
-    basis = nullspace(sys_mat)
-    alg = m.algebra
-    out = []
-    for i in range(basis.nrows):
-        vec = basis.row_entries(i)
-        comps = []
-        for v in range(alg.n_vertices):
-            rows = [
-                [vec[offs[v] + r * m.dims[v] + c] for c in range(m.dims[v])]
-                for r in range(n.dims[v])
-            ]
-            comps.append(Mat.from_rows(alg.p, rows, ncols=m.dims[v]))
-        out.append(Morphism(m, n, tuple(comps)))
-    return out
+    p = m.algebra.p
+    return [Morphism(m, n, tuple(_block(p, vec, off, dn, dm)
+                                 for off, dn, dm in zip(offs, n.dims, m.dims)))
+            for vec in nullspace(sys_mat).rows]
 
 
 def morphism_from_coeffs(basis: Sequence[Morphism], coeffs: Sequence[int],
@@ -414,13 +410,10 @@ def sub_to_rep(s: SubRep) -> tuple[Rep, Morphism]:
     mats = []
     for idx, a in enumerate(alg.arrows):
         src_sp, tgt_sp = s.spaces[a.source], s.spaces[a.target]
-        cols = []
-        imgs = rep.mats[idx].mul(src_sp.basis.transpose())
-        for j in range(src_sp.dim):
-            col = pack_row(alg.p, imgs.column(j))
-            cols.append(tgt_sp.coords(col))
-        rows = [[cols[j][i] for j in range(src_sp.dim)] for i in range(tgt_sp.dim)]
-        mats.append(Mat.from_rows(alg.p, rows, ncols=src_sp.dim))
+        # the columns: images of the source basis in target-basis coordinates
+        imgs = rep.mats[idx].mul(src_sp.basis.transpose()).transpose()
+        coords = [tgt_sp.coords(col) for col in imgs.rows]
+        mats.append(Mat.from_rows(alg.p, coords, ncols=tgt_sp.dim).transpose())
     sub = Rep(alg, dims, tuple(mats))
     incl = Morphism(sub, rep, tuple(sp.basis.transpose() for sp in s.spaces))
     return sub, incl
@@ -435,29 +428,14 @@ def quotient(ambient: Rep, s: SubRep) -> tuple[Rep, Morphism]:
     alg = ambient.algebra
     p = alg.p
     projs = []
-    dims = []
-    for v in range(alg.n_vertices):
-        sp = s.spaces[v]
-        nonpiv = sp.nonpivots()
-        dims.append(len(nonpiv))
-        rows = []
-        for j in range(ambient.dims[v]):
-            unit = pack_row(p, [1 if t == j else 0 for t in range(ambient.dims[v])])
-            reduced = unpack_row(p, sp.reduce(unit), ambient.dims[v])
-            rows.append([reduced[c] for c in nonpiv])
-        # rows[j] is the image of e_j; the projection matrix is its transpose
-        proj = Mat.from_rows(p, [[rows[j][i] for j in range(ambient.dims[v])] for i in range(len(nonpiv))],
-                             ncols=ambient.dims[v])
-        projs.append(proj)
-    mats = []
-    for idx, a in enumerate(alg.arrows):
-        nonpiv_s = s.spaces[a.source].nonpivots()
-        section = Mat.from_rows(
-            p,
-            [[1 if nonpiv_s[j] == i else 0 for j in range(dims[a.source])] for i in range(ambient.dims[a.source])],
-            ncols=dims[a.source],
-        )
-        mats.append(projs[a.target].mul(ambient.mats[idx]).mul(section))
+    for sp, d in zip(s.spaces, ambient.dims):
+        # row j is e_j modulo the subspace; the projection reads its non-pivot entries
+        reduced = Mat(p, d, d, tuple(sp.reduce(e) for e in Mat.identity(p, d).rows))
+        projs.append(reduced.select_columns(sp.nonpivots()).transpose())
+    dims = [proj.nrows for proj in projs]
+    # the section of each projection: unit vectors at the non-pivot positions
+    mats = [projs[a.target].mul(ambient.mats[idx]).select_columns(s.spaces[a.source].nonpivots())
+            for idx, a in enumerate(alg.arrows)]
     quot = Rep(alg, tuple(dims), tuple(mats))
     proj_mor = Morphism(ambient, quot, tuple(projs))
     return quot, proj_mor
@@ -487,25 +465,15 @@ def direct_sum(algebra: Algebra, parts: Sequence[Rep]) -> DirectSum:
         offs.append(tuple(running))
         for v in range(algebra.n_vertices):
             running[v] += part.dims[v]
-    mats = []
-    for idx, a in enumerate(algebra.arrows):
-        grid = [[part.mats[idx] if i == j else None for j in range(len(parts))] for i, part in enumerate(parts)]
-        row_dims = [part.dims[a.target] for part in parts]
-        col_dims = [part.dims[a.source] for part in parts]
-        mats.append(Mat.block(p, grid, row_dims, col_dims))
-    total = Rep(algebra, dims, tuple(mats))
-    injections = []
-    projections = []
-    for k, part in enumerate(parts):
-        comps_in = []
-        comps_out = []
-        for v in range(algebra.n_vertices):
-            rows = [[1 if r == offs[k][v] + c else 0 for c in range(part.dims[v])] for r in range(dims[v])]
-            inj = Mat.from_rows(p, rows, ncols=part.dims[v])
-            comps_in.append(inj)
-            comps_out.append(inj.transpose())
-        injections.append(Morphism(part, total, tuple(comps_in)))
-        projections.append(Morphism(total, part, tuple(comps_out)))
+    mats = tuple(Mat(p, dims[a.target], dims[a.source], tuple(_kron_rows(p, dims[a.source], (
+        [(1, 1, part.mats[idx], off[a.source])] for part, off in zip(parts, offs)))))
+        for idx, a in enumerate(algebra.arrows))
+    total = Rep(algebra, dims, mats)
+    projections = [Morphism(total, part, tuple(
+        Mat(p, d, dims[v], tuple(_kron_rows(p, dims[v], [[(1, 1, d, off[v])]])))
+        for v, d in enumerate(part.dims))) for part, off in zip(parts, offs)]
+    injections = [Morphism(part, total, tuple(c.transpose() for c in proj.comps))
+                  for part, proj in zip(parts, projections)]
     return DirectSum(total, tuple(injections), tuple(projections))
 
 

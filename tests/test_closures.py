@@ -25,7 +25,7 @@ from subcat.closures import (
 from subcat.errors import NotTorsionFree
 from subcat.lattices import enumerate_family
 from subcat.linalg import Subspace
-from subcat.rep import Rep, SubRep, direct_sum, hom_basis, image, kernel, quotient
+from subcat.rep import Rep, SubRep, all_submodules, direct_sum, hom_basis, image, kernel, quotient
 
 from test_lattice_path import nakayama_a3_rad2
 
@@ -220,6 +220,44 @@ def test_serre_closure_matches_factor_support(a2, a3, u3):
                 if set(cat.composition_factors(cat.indecs[k])) <= allowed:
                     expect |= 1 << k
             assert serre_closure(s).bits == expect
+
+
+def reference_subquotients(cat):
+    """Per index, the bits of the classes of its submodules and quotients."""
+    out = []
+    for m in cat.indecs:
+        bits = 0
+        for s in all_submodules(m):
+            bits |= SubcatBits.of(cat, cat.identify_sub(s)).bits
+            bits |= SubcatBits.of(cat, cat.identify(quotient(m, s)[0])).bits
+        out.append(bits)
+    return out
+
+
+def reference_serre_closure(cat, subquotients, bits):
+    """Add the subquotients and every middle term of every member pair, round after round."""
+    while True:
+        idxs = SubcatBits(cat, bits).indices()
+        add = 0
+        for i in idxs:
+            add |= subquotients[i]
+            for j in idxs:
+                for mid in cat.ext_table[(i, j)]:
+                    add |= SubcatBits.of(cat, mid).bits
+        if add & ~bits == 0:
+            return bits
+        bits |= add
+
+
+def test_serre_closure_masks_match_the_rescan(tmp_path):
+    cats = [build_builtin(d) for d in ("a3", "an:3:<>", "an:3:><", "uniserial:4")]
+    cats.append(nakayama_a3_rad2(tmp_path))
+    for cat in cats:
+        for c in (cat, cat.opposite()):
+            subquotients = reference_subquotients(c)
+            for bits in range(1 << c.n):
+                assert serre_closure(SubcatBits(c, bits)).bits == reference_serre_closure(
+                    c, subquotients, bits), (c.names, bits)
 
 
 # -- torsion pairs ------------------------------------------------------------------------

@@ -101,6 +101,28 @@ def test_decision_walk_keeps_cap_errors_and_witnesses(monkeypatch):
     assert raised == {True, False}
 
 
+def reference_ext_violation(s):
+    """The ordered scan of every member pair's middle terms, with no masks."""
+    cat = s.catalog
+    for i in s.indices():
+        for j in s.indices():
+            for mid in cat.ext_table[(i, j)]:
+                if not s.contains_id(mid):
+                    return (f"an extension of {cat.names[j]} by {cat.names[i]} has middle "
+                            f"term {_kernel_search._mid_label(cat, mid)}")
+    return None
+
+
+def test_extension_masks_keep_the_ordered_witness(tmp_path):
+    cats = [build_builtin(d) for d in ("a3", "an:3:<>", "an:4:<><", "uniserial:4")]
+    cats.append(nakayama_a3_rad2(tmp_path))
+    for cat in cats:
+        for c in (cat, cat.opposite()):
+            for bits in range(1 << c.n):
+                s = SubcatBits(c, bits)
+                assert _kernel_search._ext_violation(s) == reference_ext_violation(s), bits
+
+
 def test_composition_table_is_built_only_by_the_bounded_search():
     cat = build_builtin("uniserial:3")
     assert "pair_images" not in cat._closure_memo
