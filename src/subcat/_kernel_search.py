@@ -13,27 +13,30 @@ closure condition:
   is both a quotient of a sum (full trace) and a submodule of a sum (zero
   reject), and conversely any such module is an image, so closure under
   images reduces to a trace/reject test on each catalog indecomposable.
-* kernels: a worklist search over isomorphism classes.  Kernels of maps
-  into a sum are iterated kernels of maps into single members, and a map
-  from many copies of one indecomposable column-reduces (over its local
-  endomorphism ring) so that at most mu copies act nontrivially; the
-  per-class multiplicities are therefore capped, with a sticky "many"
-  value, without shrinking the set of reachable kernel classes.  Every
+* kernels: decided by one step from the saturated seed; a walk names the
+  witness.  Kernels of maps into a sum are iterated kernels of maps into
+  single members, and a map from a member sum into X_b column-reduces
+  (over the local endomorphism rings) to (v, 0) on C + R with C <= mu_b|s,
+  at most mu(i, b) copies of each X_i.  Let C_b = sum over i in s of
+  X_i^mu(i, b), the core of the saturated seed (saturation + 1 copies of
+  each member) at b.  Then s is closed under kernels if and only if, for
+  each b in s, every kernel of a nonzero map C_b -> X_b lies in add s: C is
+  a summand of C_b, and ker(v, 0) on C_b is ker v + (C_b - C).  So every
+  escape a walk finds, at any caps, shows up in the step, and every core
+  a walk reaches lies below mu_b|s, so no walk meets a Hom budget the step
+  passed.  When the step finds no escape, no walk runs.
+  A step that escapes, or raises, runs the walk: a worklist over
+  isomorphism classes from seeds within the configured caps, with each
+  multiplicity capped at a sticky "many" value, which keeps every
+  reachable kernel class.  A state is an int with one fixed-width count
+  field per indecomposable, so the core split and the sticky cap are
+  field-wise minimums and adding the surplus back is one addition; a state
+  becomes a tuple only to print a witness.  The walk visits the frontier
+  and each step's kernel classes in the order of their sorted index
+  tuples; its first escape is the witness and its errors are the ones
+  raised, so witnesses and exits do not depend on the step.  Every
   reported violation is a genuine kernel of a morphism between member
-  sums.  Sources are seeded within the configured caps; absence of
-  violations beyond every finite search is not decidable here, which the
-  cap-robustness checks document.
-  A search state is an int with one fixed-width count field per
-  indecomposable, so the core split and the sticky cap are field-wise
-  minimums and adding the surplus back is one addition; a state becomes a
-  tuple only to print a witness.  Each subset is first decided by a walk
-  that drops every new state lying below a seed, whose own search finds
-  any escape or cap the dropped state would (``_generator_states`` has the
-  proof).  Only a refutation, or an error, reruns the ordered walk, which
-  visits the frontier and each step's kernel classes in the order of
-  their sorted index tuples; its first escape is the witness and its
-  errors are the ones raised, so witnesses and exits do not depend on the
-  decision walk.
+  sums.
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both ranks come from a
@@ -420,12 +423,6 @@ def _ordered_kernel_classes(cat: Catalog, pk: _Packing, core: int, b: int, top: 
     )
 
 
-def _seed_caps(s: SubcatBits, cfg: CheckConfig) -> list[int]:
-    """Per index, the most copies a seed takes: min(mult_cap, saturation + 1) on members, else 0."""
-    sat = _mu_tables(s.catalog)[1]
-    return [min(cfg.mult_cap, sat[i] + 1) if s.has(i) else 0 for i in range(s.catalog.n)]
-
-
 def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
     """Dominance-maximal seed multisets on the members, packed.
 
@@ -447,14 +444,14 @@ def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
     escape, each escape reachable from y is reachable from x, and each state
     reachable from y lies below one reachable from x, whose Hom spaces into
     every target are at least as large, so y also meets no cap that x does
-    not.  The decision walk of _escape drops a state of the box for the
-    same reason.
+    not.  With x the saturated seed, this is why _top_step_escapes decides.
     """
     cat = s.catalog
     unit = _packing(cat).unit
     dims = [m.total_dim for m in cat.indecs]
-    caps = _seed_caps(s, cfg)
+    sat = _mu_tables(cat)[1]
     members = s.indices()
+    caps = {i: min(cfg.mult_cap, sat[i] + 1) for i in members}
     rest = [sum(caps[i] * dims[i] for i in members[t:]) for t in range(len(members) + 1)]
     gens = []
 
@@ -477,7 +474,23 @@ def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
     return gens
 
 
-def _escape(s: SubcatBits, cfg: CheckConfig, decide: bool) -> Optional[tuple]:
+def _top_step_escapes(s: SubcatBits) -> bool:
+    """Whether a kernel of a nonzero map from mu_b|s into some member X_b leaves s.
+
+    mu_b|s, the packed mu_b masked to the fields of the members, is the core
+    of the saturated seed at b; by the module docstring, this one step
+    decides closure under kernels.
+    """
+    cat = s.catalog
+    pk = _packing(cat)
+    member_fields = sum(((1 << pk.width) - 1) << k * pk.width for k in s.indices())
+    outside = ~s.bits
+    return any(support & outside
+               for b in s.indices() if pk.mu[b] & member_fields
+               for _, support in _ordered_kernel_classes(cat, pk, pk.mu[b] & member_fields, b, -1))
+
+
+def _escape(s: SubcatBits, cfg: CheckConfig) -> Optional[tuple]:
     """A kernel of a member-sum morphism outside s, as (state, b, kernel class), or None.
 
     Worklist over sticky-capped isomorphism classes, packed as ints; iterating
@@ -486,13 +499,9 @@ def _escape(s: SubcatBits, cfg: CheckConfig, decide: bool) -> Optional[tuple]:
     state, the core keeps min(mult, mu) copies per indecomposable; the
     remaining copies land in every kernel untouched and are added back.
 
-    The ordered walk (``decide`` false) visits the frontier and each step's
-    kernel classes in the order of their sorted index tuples, which fixes
-    the first witness.  The decision walk (``decide`` true) only answers
-    whether some escape exists: it drops every new state that a seed
-    dominates, that is, every state of the seed box (see _generator_states),
-    since the seed's own search finds whatever escape or cap the dropped
-    state would.  Both walks share the step memos.
+    The walk visits the frontier and each step's kernel classes in the order
+    of their sorted index tuples, which fixes the first witness.  It runs
+    only where _top_step_escapes finds an escape or raises.
     """
     cat = s.catalog
     pk = _packing(cat)
@@ -500,14 +509,7 @@ def _escape(s: SubcatBits, cfg: CheckConfig, decide: bool) -> Optional[tuple]:
     outside = ~s.bits
     ordered = cat._closure_memo.setdefault("kerstep_packed", {})
     targets = [(b, pk.mu[b]) for b in s.indices()]
-    frontier = _generator_states(s, cfg)
-    if decide:
-        caps = _seed_caps(s, cfg)
-        box = sum(c * u for c, u in zip(caps, pk.unit)) | guards
-        field = (1 << shift) - 1
-        dims = [(k * width, cat.indecs[k].total_dim) for k in s.indices()]
-    else:
-        frontier.sort(key=pk.unpack)
+    frontier = sorted(_generator_states(s, cfg), key=pk.unpack)
     seen = set(frontier)
     while frontier:
         state = frontier.pop()
@@ -534,10 +536,6 @@ def _escape(s: SubcatBits, cfg: CheckConfig, decide: bool) -> Optional[tuple]:
                 capped = (sticky & take) | (kid & ~take)
                 if capped and capped not in seen:
                     seen.add(capped)
-                    # in the seed box: every field within its cap, the dimension within dim_cap
-                    if decide and (box - capped) & guards == guards and sum(
-                            d * (capped >> at & field) for at, d in dims) <= cfg.dim_cap:
-                        continue
                     frontier.append(capped)
     return None
 
@@ -545,8 +543,8 @@ def _escape(s: SubcatBits, cfg: CheckConfig, decide: bool) -> Optional[tuple]:
 def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Optional[str]:
     """Search for a kernel of a member-sum morphism outside the subcategory.
 
-    The decision walk settles the subsets with no escape; a refutation, or
-    any error on the way, reruns the ordered walk, whose first escape is
+    The step from the saturated seed settles the subsets with no escape; an
+    escape, or any error on the way, runs the walk, whose first escape is
     the witness and whose errors are the ones raised.
     """
     if s.is_empty:
@@ -557,10 +555,10 @@ def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Op
         hit = memo[s.bits]
     else:
         try:
-            refuted = _escape(s, cfg, decide=True) is not None
+            refuted = _top_step_escapes(s)
         except SubcatError:
             refuted = True
-        hit = _escape(s, cfg, decide=False) if refuted else None
+        hit = _escape(s, cfg) if refuted else None
         memo[s.bits] = hit
     if hit is None:
         return None

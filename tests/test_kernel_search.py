@@ -84,18 +84,17 @@ def wide_outcomes(cat):
 
 
 def test_decision_walk_keeps_cap_errors_and_witnesses(monkeypatch):
-    """Under every budget the steps straddle, exits and witnesses equal the ordered walk's."""
+    """Under every budget the steps straddle, exits and witnesses equal the ordered walk's alone."""
     cat = build_builtin("uniserial:4")
     enumerate_family(cat, "wide", "bruteforce")
     reached = sorted({cat.algebra.p ** sum(cat.hom_dims[i][b] for i in core)
                       for core, b in cat._closure_memo["kerstep"]})
-    ordered = _kernel_search._escape
     raised = set()
     for budget in reached[:-1]:
         monkeypatch.setattr(_kernel_search, "KERNEL_ENUM_CAP", budget)
         got = wide_outcomes(build_builtin("uniserial:4"))
         with monkeypatch.context() as m:
-            m.setattr(_kernel_search, "_escape", lambda s, cfg, decide: ordered(s, cfg, False))
+            m.setattr(_kernel_search, "_top_step_escapes", lambda s: True)
             assert got == wide_outcomes(build_builtin("uniserial:4")), budget
         raised |= {r[0] == "raised" for r in got.values()}
     assert raised == {True, False}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from subcat import cli
+from subcat import _kernel_search, cli
 from subcat.catalog import build_builtin, mid_counts, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
@@ -21,6 +21,7 @@ from subcat._kernel_search import (
     _mid_label,
     _mu_tables,
     _packing,
+    _top_step_escapes,
 )
 from subcat.lattices import KINDS, CheckConfig, enumerate_family
 from subcat.linalg import Subspace
@@ -211,33 +212,55 @@ def test_kernel_witnesses_match_tuple_reference_nakayama(tmp_path):
             assert _kernel_violation(s, cfg, dual) == reference_kernel_violation(s, cfg, dual), bits
 
 
-def assert_decision_matches_ordered(cat, cfgs):
-    """The decision walk finds an escape exactly when the ordered walk does."""
-    for cfg in cfgs:
+def assert_top_step_matches_ordered(cat, cfgs):
+    """The step from the saturated seed escapes exactly when the ordered walk does.
+
+    On every nonempty subset, at the given caps and at saturating ones, whose
+    seeds include the saturated seed: saturation + 1 copies of every member.
+    """
+    sat = _mu_tables(cat)[1]
+    saturating = CheckConfig(max(sat) + 1,
+                             sum((m + 1) * x.total_dim for m, x in zip(sat, cat.indecs)))
+    for cfg in (*cfgs, saturating):
         for bits in range(1, 1 << cat.n):
             s = SubcatBits(cat, bits)
-            assert (_escape(s, cfg, True) is None) == (_escape(s, cfg, False) is None), (bits, cfg)
+            assert _top_step_escapes(s) == (_escape(s, cfg) is not None), (bits, cfg)
 
 
 BOTH_CAPS = (CheckConfig(), CheckConfig(4, 32))
 
 
+# The "decision" these gates name is the top step, which decides closure under kernels.
 @pytest.mark.parametrize("descriptor", ["a2", "a3", *(f"an:3:{w}" for w in AN3_WORDS),
                                         "uniserial:2", "uniserial:3", "uniserial:4"])
 def test_decision_walk_matches_ordered_walk(descriptor):
     cat = build_builtin(descriptor)
     for c in (cat, cat.opposite()):
-        assert_decision_matches_ordered(c, BOTH_CAPS)
+        assert_top_step_matches_ordered(c, BOTH_CAPS)
 
 
 def test_decision_walk_matches_ordered_walk_nakayama(tmp_path):
     cat = nakayama_a3_rad2(tmp_path)
     for c in (cat, cat.opposite()):
-        assert_decision_matches_ordered(c, BOTH_CAPS)
+        assert_top_step_matches_ordered(c, BOTH_CAPS)
 
 
 def test_decision_walk_matches_ordered_walk_an4():
-    assert_decision_matches_ordered(build_builtin("an:4"), (CheckConfig(),))
+    assert_top_step_matches_ordered(build_builtin("an:4"), (CheckConfig(),))
+
+
+@pytest.mark.parametrize("cfg", BOTH_CAPS)
+def test_walk_runs_only_where_the_top_step_escapes(cfg, monkeypatch):
+    escape, walked = _kernel_search._escape, []
+    monkeypatch.setattr(_kernel_search, "_escape", lambda s, c: walked.append(s) or escape(s, c))
+    for cat in (build_builtin("an:4"), build_builtin("an:4").opposite()):
+        enumerate_family(cat, "wide", "bruteforce", cfg)
+        wide = enumerate_family(cat, "wide").bitsets()
+        assert walked
+        for s in walked:
+            assert _top_step_escapes(s), s.bits
+            assert s.bits not in wide, s.bits
+        walked.clear()
 
 
 @pytest.mark.parametrize("descriptor,p", [("uniserial:4", 2), ("a3", 3)])
