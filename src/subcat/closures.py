@@ -26,10 +26,11 @@ their order of search; they still read neither the Hom-orthogonality
 perps nor the lattice tables of `lattices`, which is what keeps them
 independent of the enumeration they check.
 
-The Serre closure ORs masks built once per catalog: per member, the bits of
-its subquotient classes, and per member pair, the bits of the summands of
-its extension middle terms (``_ext_rows``, shared with the lattice path
-and the kernel oracle's extension check).
+``_fill`` is the one bitset fixpoint of every closure under extensions: the
+Serre closure here, and the lattice path's torsion tables and Filt.  It adds
+per member a mask of its own (here its subquotient classes, built once per
+catalog), and per member pair the summands of its extension middle terms
+(``_ext_rows``, shared with the kernel oracle's extension check).
 """
 
 from __future__ import annotations
@@ -101,20 +102,12 @@ class SubcatBits(_Frozen):
         return all(self.has(i) for i in mid_counts(mid))
 
     @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    @property
     def is_empty(self) -> bool:
         return self.bits == 0
 
     @property
     def is_full(self) -> bool:
         return self.bits == (1 << self.catalog.n) - 1
-
-    def union(self, other: "SubcatBits") -> "SubcatBits":
-        self._check(other)
-        return SubcatBits(self.catalog, self.bits | other.bits)
 
     def intersect(self, other: "SubcatBits") -> "SubcatBits":
         self._check(other)
@@ -320,45 +313,35 @@ def _quotient_class(cat: Catalog, layer: SubRep) -> ModuleId:
     return memo[layer]
 
 
-def _stalled(cat: Catalog, mid: ModuleId, layer_dims: tuple[int, ...], kind: str) -> bool:
-    """The chain stops short of zero: an empty trace, or a reject that is everything."""
-    return sum(layer_dims) == (0 if kind == "tors" else sum(cat.dims_of(mid)))
+def _chain(c: SubcatBits, idx: int,
+           kind: str) -> tuple[bool, list[tuple[ModuleId, tuple[int, ...]]]]:
+    """The trace (kind tors) or reject (kind torf) chain of one catalog member.
 
-
-def _chain_member(c: SubcatBits, idx: int, kind: str) -> bool:
+    Returns whether it reaches zero, and each step's (class, layer dims); it
+    stops short of zero at an empty trace, or at a reject that is everything.
+    """
+    steps = []
     mid: ModuleId = (idx,)
     while mid:
         layer_dims, nxt = _chain_next(c, mid, kind)
-        if _stalled(c.catalog, mid, layer_dims, kind):
-            return False
+        steps.append((mid, layer_dims))
+        if sum(layer_dims) == (0 if kind == "tors" else sum(c.catalog.dims_of(mid))):
+            return False, steps
         mid = nxt
-    return True
+    return True, steps
 
 
 def chain_certificate(c: SubcatBits, idx: int, kind: str) -> ChainCertificate:
     """Explicit chain for one catalog member, for audit output."""
     cat = c.catalog
-    names = lambda mid: tuple(sorted(cat.names[k] for k in mid))
-    steps = []
-    mid: ModuleId = (idx,)
-    member = True
-    while mid:
-        layer_dims, nxt = _chain_next(c, mid, kind)
-        steps.append(ChainStep(names(mid), layer_dims))
-        if _stalled(cat, mid, layer_dims, kind):
-            member = False
-            break
-        mid = nxt
-    return ChainCertificate(kind, (cat.names[idx],), member, tuple(steps))
+    member, steps = _chain(c, idx, kind)
+    return ChainCertificate(kind, (cat.names[idx],), member, tuple(
+        ChainStep(tuple(sorted(cat.names[k] for k in mid)), dims) for mid, dims in steps))
 
 
 def _chain_closure(c: SubcatBits, kind: str) -> SubcatBits:
     """The members whose trace (or reject) chain reaches zero."""
-    bits = 0
-    for k in range(c.catalog.n):
-        if _chain_member(c, k, kind):
-            bits |= 1 << k
-    return SubcatBits(c.catalog, bits)
+    return SubcatBits(c.catalog, sum(_chain(c, k, kind)[0] << k for k in range(c.catalog.n)))
 
 
 def tors_closure(c: SubcatBits) -> SubcatBits:
@@ -460,27 +443,35 @@ def _ext_rows(cat: Catalog) -> tuple[tuple[int, ...], ...]:
     return memo["ext_rows"]
 
 
-def serre_closure(c: SubcatBits) -> SubcatBits:
-    """Least fixpoint adding subquotient classes and extension middle terms.
+def _fill(rows: Sequence[Sequence[int]], bits: int,
+          single: Optional[Callable[[int], int]] = None) -> int:
+    """Least superset of bits holding single(k) per member k and rows[k][j] per member pair.
 
-    Each round ORs the subquotient mask of every member, then the middle-term
-    mask of every member pair.
+    rows must be symmetric.  Members are visited in index order, the lowest
+    not yet visited first, including those an earlier visit added; each visit
+    reads single(k) once and pairs k with itself and every member visited
+    before it.  Pair closure suffices for extension closure, since an
+    extension by direct sums refines into iterated extensions by summands.
     """
+    done, seen = 0, []  # done is always a subset of bits
+    while bits != done:
+        rest = bits & ~done
+        low = rest & -rest
+        done |= low
+        k = low.bit_length() - 1
+        if single is not None:
+            bits |= single(k)
+        seen.append(k)
+        row = rows[k]
+        for j in seen:
+            bits |= row[j]
+    return bits
+
+
+def serre_closure(c: SubcatBits) -> SubcatBits:
+    """Least fixpoint adding subquotient classes and extension middle terms."""
     cat = c.catalog
-    rows = _ext_rows(cat)
-    bits = c.bits
-    while True:
-        idxs = SubcatBits(cat, bits).indices()
-        add = 0
-        for i in idxs:
-            add |= _subquotient_mask(cat, i)
-        for i in idxs:
-            row = rows[i]
-            for j in idxs:
-                add |= row[j]
-        if add & ~bits == 0:
-            return SubcatBits(cat, bits)
-        bits |= add
+    return SubcatBits(cat, _fill(_ext_rows(cat), c.bits, lambda k: _subquotient_mask(cat, k)))
 
 
 # -- torsion pairs ------------------------------------------------------------------------

@@ -20,9 +20,10 @@ Elsewhere, and on every catalog for the other kinds:
 
 * ``Q[i]`` = tors({i}) and ``S[i]`` = torf({i}), one trace/reject chain
   closure per indecomposable, and the extension table read as bit rows.
-  Extension closure of a set of indecomposables is a bitset fixpoint over
-  member pairs; pair closure suffices, since an extension by direct sums
-  refines into iterated extensions by summands.
+  Extension closure of a set of indecomposables is ``closures._fill``, the
+  bitset fixpoint over member pairs that the Serre closure runs too; pair
+  closure suffices, since an extension by direct sums refines into iterated
+  extensions by summands.
 * serre: NextClosure over ``serre_closure``.
 * tors, torf: NextClosure over tors(X) = Filt(union of Q[x]), since the join
   of torsion classes is Filt of their union; torf dually with ``S``.
@@ -56,7 +57,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .catalog import Catalog, _is_brick
-from .closures import SubcatBits, _ext_rows, serre_closure, torf_closure, tors_closure
+from .closures import SubcatBits, _ext_rows, _fill, serre_closure, torf_closure, tors_closure
 from .errors import ShapeError
 from .linalg import _Frozen, _slot_setters
 
@@ -201,20 +202,6 @@ def _next_closure_enum(cl: Callable[[int], int], n: int) -> list[int]:
 # -- exact lattice path ------------------------------------------------------------------
 
 
-def _ext_closure(rows: tuple[tuple[int, ...], ...], bits: int) -> int:
-    """Least superset closed under summands of middle terms between its members."""
-    done = 0
-    paired: list[int] = []
-    while bits != done:
-        k = (bits & ~done).bit_length() - 1
-        done |= 1 << k
-        paired.append(k)
-        row = rows[k]
-        for j in paired:
-            bits |= row[j]
-    return bits
-
-
 def _singleton_closures(cat: Catalog, kind: str) -> tuple[int, ...]:
     """Q (kind tors) or S (kind torf): the chain closure of each indecomposable."""
     key = ("singletons", kind)
@@ -225,12 +212,11 @@ def _singleton_closures(cat: Catalog, kind: str) -> tuple[int, ...]:
 
 
 def _table_closure(cat: Catalog, kind: str, bits: int) -> int:
-    """tors or torf closure as Filt of the union of the singleton closures."""
-    single = _singleton_closures(cat, kind)
-    union = 0
-    for i in SubcatBits(cat, bits).indices():
-        union |= single[i]
-    return _ext_closure(_ext_rows(cat), union)
+    """tors or torf closure as Filt of the union of the singleton closures.
+
+    A member an extension adds lies in that class, so its singleton closure adds nothing.
+    """
+    return _fill(_ext_rows(cat), bits, _singleton_closures(cat, kind).__getitem__)
 
 
 def _perp_masks(cat: Catalog) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -308,7 +294,7 @@ def _lattice_bitsets(cat: Catalog, kind: str) -> frozenset[int]:
         bitsets = _next_closure_enum(lambda bits: _table_closure(cat, kind, bits), cat.n)
     elif kind == "wide":
         rows = _ext_rows(cat)
-        bitsets = [_ext_closure(rows, b) for b in _semibricks(cat)]
+        bitsets = [_fill(rows, b) for b in _semibricks(cat)]
     else:
         left, right = _MEETS[kind]
         rights = _lattice_bitsets(cat, right)
@@ -419,12 +405,6 @@ class RelationsReport(NamedTuple):
 
     def all_inclusions_hold(self) -> bool:
         return all(ok for _, _, ok in self.inclusions)
-
-    def passed(self) -> bool:
-        ok = self.all_inclusions_hold()
-        if self.commutative_collapse is not None:
-            ok = ok and all(flag for _, flag in self.commutative_collapse)
-        return ok
 
     def table_text(self) -> str:
         rows = []

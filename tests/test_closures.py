@@ -22,7 +22,7 @@ from subcat.closures import (
     torsion_pair_complete,
     trace,
 )
-from subcat.errors import NotTorsionFree
+from subcat.errors import CapExceeded, NotTorsionFree
 from subcat.lattices import enumerate_family
 from subcat.linalg import Subspace
 from subcat.rep import Rep, SubRep, all_submodules, direct_sum, hom_basis, image, kernel, quotient
@@ -258,6 +258,19 @@ def test_serre_closure_masks_match_the_rescan(tmp_path):
             for bits in range(1 << c.n):
                 assert serre_closure(SubcatBits(c, bits)).bits == reference_serre_closure(
                     c, subquotients, bits), (c.names, bits)
+
+
+@pytest.mark.parametrize("names,dim", [(("M2", "M4"), 4), (("M4", "M5"), 4),
+                                       (("M1", "M3", "M6"), 4)])
+def test_serre_cap_error_names_the_first_member_over_the_cap(monkeypatch, names, dim):
+    """The fixpoint visits members in index order, the lowest first, including added ones.
+
+    So {M1, M3, M6} reaches M4 through extensions of M1 and M2 before it visits M6.
+    """
+    monkeypatch.setattr(closures, "all_submodules", lambda m, cap=3: all_submodules(m, cap))
+    cat = build_builtin("uniserial:6")
+    with pytest.raises(CapExceeded, match=f"^total dimension {dim} exceeds submodule cap 3$"):
+        serre_closure(SubcatBits.from_names(cat, names))
 
 
 # -- torsion pairs ------------------------------------------------------------------------

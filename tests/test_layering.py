@@ -66,6 +66,41 @@ def test_one_endomorphism_walk(monkeypatch):
     assert set(seen) == {"idempotent search", "brick test", "radical"}
 
 
+def test_one_closure_engine(monkeypatch):
+    """Serre, the torsion tables and Filt run _fill; closures and certificates walk _chain."""
+    from subcat import closures, lattices
+
+    fill, filled = closures._fill, []
+
+    def recording_fill(rows, bits, single=None):
+        filled[-1] += 1
+        return fill(rows, bits, single)
+
+    monkeypatch.setattr(closures, "_fill", recording_fill)
+    monkeypatch.setattr(lattices, "_fill", recording_fill)
+    runs = (lambda: closures.serre_closure(closures.SubcatBits.of(build_builtin("a3"), [0])),
+            lambda: lattices._table_closure(build_builtin("an:3:<>"), "tors", 1),
+            lambda: lattices.enumerate_family(build_builtin("an:4"), "wide"))
+    for run in runs:
+        filled.append(0)
+        run()
+    assert all(filled), filled
+
+    chain, walked = closures._chain, []
+
+    def recording_chain(c, idx, kind):
+        walked.append(kind)
+        return chain(c, idx, kind)
+
+    monkeypatch.setattr(closures, "_chain", recording_chain)
+    cat = build_builtin("a2")
+    closures.tors_closure(closures.SubcatBits.of(cat, [1]))
+    assert set(walked) == {"tors"}
+    walked.clear()
+    closures.chain_certificate(closures.SubcatBits.of(cat, [1]), 0, "torf")
+    assert walked == ["torf"]
+
+
 def test_value_semantics_are_defined_once():
     """_Frozen derives equality, hashing, repr and pickling; only Rep caches its own hash."""
     from subcat import closures, lattices, rep  # noqa: F401  (they define the subclasses)
