@@ -39,32 +39,33 @@ closure condition:
   sums.
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
-  the dimension vector is dim source_x - rank(v_x).  Both ranks come from a
-  per-catalog table of compositions of the Hom bases (``_pair_images``),
-  and (dimension vector, Hom profile) decodes to the class through the
-  catalog's ``_class_of``.  A catalog not marked complete builds each
-  distinct kernel and identifies it through ``identify``, so a summand
-  outside the catalog still raises UnknownModule.
+  the dimension vector is dim source_x - rank(v_x).  Both are ranks of
+  joins of the summands' image spans, read off a per-catalog table of
+  compositions of the Hom bases (``_pair_images``) and folded over the
+  summands one at a time, and (dimension vector, Hom profile) decodes to
+  the class through the catalog's ``_class_of``.  A catalog not marked
+  complete builds each distinct kernel and identifies it through
+  ``identify``, so a summand outside the catalog still raises UnknownModule.
 * cokernels: the kernel search on the opposite catalog.
 
 The mu bounds, which cap the copies of each indecomposable in the kernel
 search, serve only this search: they are built on its first step and
 memoized on the catalog, so enumeration never builds them.  Each bound
 reads the End(X_i)-submodules of Hom(X_i, X_j), grown as joins of cyclic
-submodules from 0 rather than filtered out of every subspace; End acts
-on coordinates read at the pivot columns of the reduced row-echelon Hom
-basis, with no linear solve.
+submodules from 0 (``_join_closure``) rather than filtered out of every
+subspace; End acts on coordinates read at the pivot columns of the reduced
+row-echelon Hom basis, with no linear solve.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits, mid_counts
+from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits
 from .closures import SubcatBits, _ext_rows, fac_contains, sub_contains
 from .errors import CapExceeded, SubcatError
-from .linalg import Mat, Subspace, _combine, _kron_rows, _pivot_rows, _reduced_rows
+from .linalg import Mat, Subspace, _combine, _join, _join_closure, _kron_rows, _reduced_rows
 from .rep import _lines, direct_sum, flat_entries, kernel, morphism_from_coeffs
 
 if TYPE_CHECKING:
@@ -190,24 +191,17 @@ def _composites(p: int, f: Morphism, target: Rep, flats: Sequence[Sequence[int]]
     return tuple(_combine(p, g, rows) for g in flats)
 
 
-def _kernel_sizes(p: int, sizes: Sequence[int], images: Sequence[tuple]) -> tuple[int, ...]:
-    """dim Hom(probe, ker v) per probe, by left exactness of Hom(probe, -).
-
-    Hom(probe, core) has dimension ``sizes``; v∘- maps it onto the sum of
-    the summands' images.  At vertex probes this is dims(ker v).
-    """
-    return tuple(size - len(_pivot_rows(p, [vec for img in images for vec in img[q]]))
-                 for q, size in enumerate(sizes))
-
-
 def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
     """Kernel classes of all nonzero morphisms from the sum ``core`` into indec b.
 
     Hom(core, X_b) is the sum of Hom(X_i, X_b) over the summands, so
-    v = (g_s) and the image of v∘- on Hom(probe, core) is the sum of the
-    images of the g_s∘-.  Those ranks give each kernel's dimension vector and
-    Hom profile, which fix its class on a complete catalog; only distinct
-    image spans per summand need visiting, and equal summands in any order.
+    v = (g_s) and the image of v∘- on Hom(probe, core) is the join of the
+    images of the g_s∘-.  Those joins are folded one summand at a time over
+    each summand's distinct image spans, and Hom(probe, -) is left exact, so
+    dim Hom(probe, ker v) is dim Hom(probe, core) minus the join's rank; at
+    vertex probes this is dims(ker v).  The dimension vector and Hom profile
+    fix the class on a complete catalog.  v = 0 exactly when its join is
+    zero, since a nonzero g has a nonzero column at some vertex probe.
     """
     p = cat.algebra.p
     dim = sum(cat.hom_dims[i][b] for i in core)
@@ -218,19 +212,15 @@ def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
         )
     if not cat.complete:
         return _materialized_kernel_classes(cat, core, b)
-    tables = [_pair_images(cat, i, b)[0] for i in core]
     nv = cat.algebra.n_vertices
-    # dim Hom(probe, core) per probe: the generator counts of the summands' tables
-    sizes = [sum(len(t[q]) for t in tables) for q in range(nv + cat.n)]
-    picks = product(*(
-        combinations_with_replacement(_pair_images(cat, i, b)[1], m)
-        for i, m in mid_counts(core).items()
-    ))
-    found = set()
-    for pick in picks:
-        images = [img for group in pick for img in group]
-        if any(any(img) for img in images):
-            found.add(_kernel_sizes(p, sizes, images))
+    sizes = [0] * (nv + cat.n)
+    zero = tuple(() for _ in sizes)
+    joins = {zero}
+    for i in core:
+        table, images = _pair_images(cat, i, b)
+        sizes = [size + len(probe) for size, probe in zip(sizes, table)]
+        joins = {_join(p, w, img) for w in joins for img in images}
+    found = {tuple(size - len(rows) for size, rows in zip(sizes, w)) for w in joins if w != zero}
     classes = frozenset(cat._class_of(ks[:nv], ks[nv:]) for ks in found)
     if None in classes:
         return _materialized_kernel_classes(cat, core, b)
@@ -333,25 +323,14 @@ def _submodules(p: int, h: int, actions: Sequence[Mat]) -> list[tuple]:
     The actions act on the right of row vectors, and their span contains the
     identity, so the cyclic submodule of v is the span of the v.a.  Each
     submodule is the join of the cyclic submodules of its vectors, and v and
-    c*v generate the same one, so the search grows joins from 0 by the
-    cyclic submodules of one vector per line.
+    c*v generate the same one, so ``_join_closure`` grows the joins from 0 by
+    the cyclic submodules of one vector per line.
     """
     cyclic = {}
     for v in _lines(p, h):
         row = Mat.from_rows(p, [v], h)
-        cyclic[_reduced_rows(p, [row.mul(act).rows[0] for act in actions])] = None
-    found = {(): None}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for c in cyclic:
-                joined = _reduced_rows(p, w + c)
-                if joined not in found:
-                    found[joined] = None
-                    nxt.append(joined)
-        frontier = nxt
-    return list(found)
+        cyclic[(_reduced_rows(p, [row.mul(act).rows[0] for act in actions]),)] = None
+    return [w for (w,) in _join_closure(p, ((),), cyclic)]
 
 
 # -- packed search states ---------------------------------------------------------------

@@ -109,10 +109,6 @@ class SubcatBits(_Frozen):
     def is_full(self) -> bool:
         return self.bits == (1 << self.catalog.n) - 1
 
-    def intersect(self, other: "SubcatBits") -> "SubcatBits":
-        self._check(other)
-        return SubcatBits(self.catalog, self.bits & other.bits)
-
     def issubset(self, other: "SubcatBits") -> bool:
         self._check(other)
         return self.bits & ~other.bits == 0
@@ -292,24 +288,20 @@ def _chain_next(c: SubcatBits, mid: ModuleId, kind: str) -> tuple[tuple[int, ...
     step = joins.steps.get(key)
     if step is None:
         layer = joins.layers[key]
-        nxt = _quotient_class(cat, layer) if kind == "tors" else _sub_class(cat, layer)
+        nxt = _layer_class(cat, layer, "quotient" if kind == "tors" else "sub")
         step = joins.steps[key] = (layer.dims, nxt)
     return step
 
 
-def _sub_class(cat: Catalog, layer: SubRep) -> ModuleId:
-    """The class of a submodule, memoized per catalog on its value."""
-    memo = cat._closure_memo.setdefault("sub_classes", {})
-    if layer not in memo:
-        memo[layer] = cat.identify_sub(layer)
-    return memo[layer]
+def _layer_class(cat: Catalog, layer: SubRep, part: str) -> ModuleId:
+    """The class of the submodule ``layer`` (part "sub") or of its ambient modulo it ("quotient").
 
-
-def _quotient_class(cat: Catalog, layer: SubRep) -> ModuleId:
-    """The class of the ambient module modulo a submodule, memoized per catalog on its value."""
-    memo = cat._closure_memo.setdefault("quotient_classes", {})
+    Memoized per catalog and part on the submodule's value.
+    """
+    memo = cat._closure_memo.setdefault(f"{part}_classes", {})
     if layer not in memo:
-        memo[layer] = cat.identify(quotient(layer.ambient, layer)[0])
+        memo[layer] = (cat.identify_sub(layer) if part == "sub"
+                       else cat.identify(quotient(layer.ambient, layer)[0]))
     return memo[layer]
 
 
@@ -505,8 +497,8 @@ def torsion_pair_complete(f: SubcatBits) -> TorsionPair:
     for k in range(cat.n):
         x = cat.indecs[k]
         tr = trace(t, x)
-        torsion_part = _sub_class(cat, tr)
-        free_part = _quotient_class(cat, tr)
+        torsion_part = _layer_class(cat, tr, "sub")
+        free_part = _layer_class(cat, tr, "quotient")
         ok = t.contains_id(torsion_part) and f.contains_id(free_part)
         verified = verified and ok
         witnesses.append(

@@ -10,7 +10,10 @@ nonzero column (over F_2, the lowest set bit), and a pivot row is scaled so
 that entry is 1.  ``_pivot_insert`` grows echelon rows keyed by that column;
 ``_reduced_rows`` back-substitutes them into the unique reduced row-echelon
 basis of the span, which ``rref``, ``Subspace`` and the kernel oracle's image
-spans share.  Everything is an immutable value.
+spans share.  ``_join`` joins tuples of such bases partwise, and
+``_join_closure`` grows every join of some generators from zero: the
+submodule lattices and the kernel oracle's image spans are built this way.
+Everything is an immutable value.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import cache
 from itertools import product
 from math import isqrt
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError
 
@@ -107,6 +110,30 @@ def _reduced_rows(p: int, vectors: Iterable) -> tuple:
             row = _clear(p, row, piv[s], s)
         out.append(row)
     return tuple(out)
+
+
+def _join(p: int, a: tuple, c: tuple) -> tuple:
+    """The partwise join of two span tuples, each one reduced-row basis per part."""
+    return tuple(_reduced_rows(p, x + y) if y else x for x, y in zip(a, c))
+
+
+def _join_closure(p: int, zero: tuple, gens: Collection[tuple]) -> list[tuple]:
+    """Every join of some of the span tuples ``gens``, grown breadth first from ``zero``.
+
+    ``zero`` comes first, then each join in the order the search finds it.
+    """
+    found = {zero: None}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for c in gens:
+                joined = _join(p, w, c)
+                if joined not in found:
+                    found[joined] = None
+                    nxt.append(joined)
+        frontier = nxt
+    return list(found)
 
 
 def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):

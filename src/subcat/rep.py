@@ -19,6 +19,7 @@ from .linalg import (
     _block,
     _check_prime,
     _Frozen,
+    _join_closure,
     _kron_rows,
     _slot_setters,
     nullspace,
@@ -251,19 +252,6 @@ class SubRep(_Frozen):
     def full(ambient: Rep) -> "SubRep":
         p = ambient.algebra.p
         return SubRep(ambient, tuple(Subspace.full(p, d) for d in ambient.dims))
-
-    def add(self, other: "SubRep") -> "SubRep":
-        if self.ambient != other.ambient:
-            raise ShapeError("subreps of different ambients")
-        return SubRep(self.ambient, tuple(a.add(b) for a, b in zip(self.spaces, other.spaces)))
-
-    def intersect(self, other: "SubRep") -> "SubRep":
-        if self.ambient != other.ambient:
-            raise ShapeError("subreps of different ambients")
-        return SubRep(self.ambient, tuple(a.intersect(b) for a, b in zip(self.spaces, other.spaces)))
-
-    def contains(self, other: "SubRep") -> bool:
-        return all(a.contains(b) for a, b in zip(self.spaces, other.spaces))
 
 
 _subrep_ambient, _subrep_spaces = _slot_setters(SubRep)
@@ -520,7 +508,7 @@ def _lines(p: int, d: int) -> Iterator[tuple[int, ...]]:
 
 
 def all_submodules(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> list[SubRep]:
-    """Every arrow-stable subspace tuple, as the join closure of cyclic subs.
+    """Every arrow-stable subspace tuple, as the join closure of cyclic subs (``_join_closure``).
 
     Complete because each submodule is the join of the cyclic submodules of
     its vectors, and v and c*v generate the same one, so one vector per line
@@ -536,30 +524,12 @@ def all_submodules(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> list[SubRep]:
                 f"vertex {m.algebra.vertices[v]} of dimension {d} over F_{p} has {lines} "
                 f"lines, over the submodule line budget {SUBMODULE_LINE_BUDGET}"
             )
-    found: dict = {}
-    zero = SubRep.zero(m)
-    found[zero.key()] = zero
-    cyclic = []
-    for v, d in enumerate(m.dims):
-        for vec in _lines(p, d):
-            sub = generated_submodule(m, [(v, vec)])
-            if sub.key() not in found:
-                found[sub.key()] = sub
-                cyclic.append(sub)
-    frontier = list(found.values())
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for c in cyclic:
-                joined = s.add(c)
-                k = joined.key()
-                if k not in found:
-                    found[k] = joined
-                    nxt.append(joined)
-        frontier = nxt
-    subs = list(found.values())
-    subs.sort(key=lambda s: (s.dims, s.key()))
-    return subs
+    cyclic = {generated_submodule(m, [(v, vec)]).key(): None
+              for v, d in enumerate(m.dims) for vec in _lines(p, d)}
+    keys = _join_closure(p, SubRep.zero(m).key(), cyclic)
+    keys.sort(key=lambda k: (tuple(map(len, k)), k))
+    return [SubRep(m, tuple(Subspace(d, Mat(p, len(rows), d, rows)) for d, rows in zip(m.dims, k)))
+            for k in keys]
 
 
 # -- isomorphism -----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The rank-based kernel step of the bounded search against materialized kernels."""
 
 import json
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -45,9 +45,13 @@ def assert_keys_match_reference(cat):
     assert keys
 
 
+# catalogs whose every core of at most 3 summands, repeats included, is checked too
+MULTISET_CORES = {("a3", 2), ("uniserial:3", 2), ("a2", 5), ("an:3:<>", 3)}
+
+
 @pytest.mark.parametrize("descriptor,p", [
     ("a2", 2), ("a3", 2), *((f"an:3:{w}", 2) for w in (">>", "<<", "<>", "><")),
-    ("uniserial:3", 2), ("uniserial:4", 2), ("a3", 3), ("a2", 5),
+    ("uniserial:3", 2), ("uniserial:4", 2), ("a3", 3), ("a2", 5), ("an:3:<>", 3),
 ])
 def test_kernel_classes_match_materialized_kernels(descriptor, p, monkeypatch):
     def no_kernel_modules(cat, core, b):
@@ -55,7 +59,14 @@ def test_kernel_classes_match_materialized_kernels(descriptor, p, monkeypatch):
 
     # on a complete catalog, every decode succeeds and no kernel is built
     monkeypatch.setattr(_kernel_search, "_materialized_kernel_classes", no_kernel_modules)
-    assert_keys_match_reference(build_builtin(descriptor, p=p))
+    cat = build_builtin(descriptor, p=p)
+    assert_keys_match_reference(cat)
+    if (descriptor, p) in MULTISET_CORES:
+        for size in (1, 2, 3):
+            for core in combinations_with_replacement(range(cat.n), size):
+                for b in range(cat.n):
+                    assert (_kernel_search._kernel_classes(cat, core, b)
+                            == reference_classes(cat, core, b)), (core, b)
 
 
 def test_kernel_classes_match_on_incomplete_catalog(tmp_path):

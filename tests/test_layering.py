@@ -66,6 +66,25 @@ def test_one_endomorphism_walk(monkeypatch):
     assert set(seen) == {"idempotent search", "brick test", "radical"}
 
 
+def test_one_join_closure(monkeypatch):
+    """all_submodules and the mu bounds' End-submodules both grow joins in _join_closure."""
+    from subcat import _kernel_search, linalg, rep
+
+    closure, grown = linalg._join_closure, []
+
+    def recording(p, zero, gens):
+        grown[-1] += 1
+        return closure(p, zero, gens)
+
+    monkeypatch.setattr(rep, "_join_closure", recording)
+    monkeypatch.setattr(_kernel_search, "_join_closure", recording)
+    cat = build_builtin("uniserial:3")
+    for run in (lambda: rep.all_submodules(cat.indecs[2]), lambda: _kernel_search._mu_tables(cat)):
+        grown.append(0)
+        run()
+    assert all(grown), grown
+
+
 def test_one_closure_engine(monkeypatch):
     """Serre, the torsion tables and Filt run _fill; closures and certificates walk _chain."""
     from subcat import closures, lattices

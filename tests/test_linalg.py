@@ -1,7 +1,7 @@
 """Unit tests for exact F_p linear algebra, with brute-force oracles."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +12,11 @@ from subcat.linalg import (
     Mat,
     Subspace,
     _check_prime,
+    _join_closure,
     _pivot_insert,
     _reduced_rows,
     nullspace,
+    pack_row,
     rref,
     solve,
 )
@@ -201,6 +203,30 @@ def test_modular_dimension_law():
         u = Subspace.span(p, n, [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(0, 3))])
         v = Subspace.span(p, n, [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(0, 3))])
         assert u.dim + v.dim == u.add(v).dim + u.intersect(v).dim
+
+
+def test_join_closure_is_every_join_of_a_subset():
+    """Against the spans of every subset of the generators, by exhaustive combination."""
+    rng = random.Random(31)
+    dims = (2, 3)
+    zero = ((),) * len(dims)
+    for p in (2, 3):
+        for _ in range(6):
+            # four generators, each with up to two random rows per part
+            gens = [[[[rng.randrange(p) for _ in range(d)] for _ in range(rng.randrange(3))]
+                     for d in dims] for _ in range(4)]
+            want = {
+                tuple(frozenset(span_set(Mat.from_rows(p, [row for g in sub for row in g[k]], d)))
+                      for k, d in enumerate(dims))
+                for size in range(len(gens) + 1) for sub in combinations(gens, size)
+            }
+            packed = [tuple(_reduced_rows(p, [pack_row(p, row) for row in part]) for part in g)
+                      for g in gens]
+            got = _join_closure(p, zero, packed)
+            assert got[0] == zero
+            assert len(got) == len(want)
+            assert {tuple(frozenset(span_set(Mat(p, len(rows), d, rows)))
+                          for rows, d in zip(w, dims)) for w in got} == want
 
 
 def test_subspace_ambient_mismatch():
