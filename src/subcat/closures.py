@@ -12,19 +12,21 @@ member's trace, which forces strict descent.  The literal filtration-search
 oracle `filt_contains` stays available as an independent cross-check.
 
 What depends on fewer members than the subset is cached on the catalog,
-on first use, keyed by module value: each member's contribution to a
-trace or reject in a module; the trace or reject itself, keyed on the
-members of the subset whose contribution there is nontrivial; the class of
-a layer and of the quotient by it; and, for the filtration search, each
-module's (dimension vector, Hom profile) key and its (layer, quotient)
-splits in `all_submodules` order.  The trace/reject key is exact, because
-a zero image adds nothing to a trace and a kernel equal to the module
-removes nothing from a reject; a contribution is computed only when a
-subset holding its member asks, so nothing is computed that a join over
-every member would not compute.  The oracles keep their algorithms and
-their order of search; they still read neither the Hom-orthogonality
-perps nor the lattice tables of `lattices`, which is what keeps them
-independent of the enumeration they check.
+on first use.  Per module value: each member's span in a trace or reject
+there, and the trace or reject itself, keyed on the members of the subset
+whose span is nonzero.  Per member index and layer span rows: the class of
+a layer and of the quotient by it.  And, for the filtration search, per
+module value: its (dimension vector, Hom profile) key and its (layer,
+quotient) splits in `all_submodules` order, which the Serre closure's
+subquotient masks read too.  The trace/reject key is exact, because a zero
+span adds nothing to a join; a span is computed only when a subset holding
+its member asks, so nothing is computed that a join over every member would
+not compute.  Chains stay on catalog members: trace and reject commute with
+finite direct sums, so a step on a sum is the sum of its summands' steps.
+The oracles keep their algorithms and their order of search; they still
+read neither the Hom-orthogonality perps nor the lattice tables of
+`lattices`, which is what keeps them independent of the enumeration they
+check.
 
 ``_fill`` is the one bitset fixpoint of every closure under extensions: the
 Serre closure here, and the lattice path's torsion tables and Filt.  It adds
@@ -39,15 +41,13 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .catalog import Catalog, ModuleId, mid_counts
 from .errors import NotTorsionFree, ShapeError
-from .linalg import Subspace, _Frozen, _slot_setters
+from .linalg import Mat, Subspace, _Frozen, _join, _reduced_rows, _slot_setters
 from .rep import (
     Rep,
     SubRep,
     all_submodules,
     check_submodule_cap,
     hom_basis,
-    image,
-    kernel,
     quotient,
     sub_to_rep,
     SUBMODULE_DIM_CAP,
@@ -127,65 +127,47 @@ _bits_catalog, _bits_bits = _slot_setters(SubcatBits)
 # -- trace and reject ------------------------------------------------------------
 
 
-def _join(p: int, dims: Sequence[int], parts: Iterable[Sequence[Subspace]],
-          kind: str) -> tuple[Subspace, ...]:
-    """Vertexwise sum (kind tors) or intersection (kind torf) of subspace tuples."""
-    if kind == "tors":
-        spaces = [Subspace.zero(p, d) for d in dims]
-        for part in parts:
-            for v, sp in enumerate(part):
-                if sp.dim:
-                    spaces[v] = spaces[v].add(sp)
-    else:
-        spaces = [Subspace.full(p, d) for d in dims]
-        for part in parts:
-            for v, sp in enumerate(part):
-                if sp.dim < dims[v]:
-                    spaces[v] = spaces[v].intersect(sp)
-    return tuple(spaces)
+def _contribution(cat: Catalog, i: int, m: Rep, kind: str) -> tuple:
+    """What member i adds to the trace (kind tors) or reject (kind torf) in m, as a span tuple.
 
-
-def _contribution(cat: Catalog, i: int, m: Rep, kind: str) -> tuple[Subspace, ...]:
-    """What member i adds to the trace (kind tors) or reject (kind torf) in m.
-
-    The images of all maps X_i -> m, or the common kernel of all maps
-    m -> X_i.
+    Per vertex, the reduced rows spanning the columns of every basis map
+    X_i -> m, or the rows of every basis map m -> X_i.
     """
     if kind == "tors":
-        parts = (image(f).spaces for f in hom_basis(cat.indecs[i], m))
+        maps = [[c.transpose() for c in f.comps] for f in hom_basis(cat.indecs[i], m)]
     else:
-        parts = (kernel(f).spaces for f in hom_basis(m, cat.indecs[i]))
-    return _join(cat.algebra.p, m.dims, parts, kind)
+        maps = [f.comps for f in hom_basis(m, cat.indecs[i])]
+    return tuple(_reduced_rows(cat.algebra.p, (row for f in maps for row in f[v].rows))
+                 for v in range(len(m.dims)))
 
 
 class _Joins:
     """The join memo of one (kind, module) pair on a catalog.
 
     ``asked`` holds the members whose contribution has been computed;
-    ``live`` those among them whose contribution is nontrivial (a nonzero
-    image for tors, a proper kernel for torf), with the contributions in
-    ``parts``.  ``layers`` and ``steps`` map a mask of live members to their
-    join and to its chain step.
+    ``live`` those among them whose span is nonzero, with the spans in
+    ``parts``.  ``layers`` maps a mask of live members to their layer.
     """
 
-    __slots__ = ("asked", "live", "parts", "layers", "steps")
+    __slots__ = ("asked", "live", "parts", "layers")
 
     def __init__(self):
         self.asked = self.live = 0
-        self.parts: dict[int, tuple[Subspace, ...]] = {}
+        self.parts: dict[int, tuple] = {}
         self.layers: dict[int, SubRep] = {}
-        self.steps: dict[int, tuple[tuple[int, ...], ModuleId]] = {}
 
 
-def _joined(c: SubcatBits, m: Rep, kind: str) -> tuple[_Joins, int]:
-    """The join memo of (kind, m) on C's catalog, holding C's layer, and C's key in it.
+def _layer(c: SubcatBits, m: Rep, kind: str) -> SubRep:
+    """The trace (kind tors) or reject (kind torf) of C in m.
 
-    The key is the set of members of C whose contribution in m is
-    nontrivial.  That is exact: a zero image adds nothing to a trace, and
-    a kernel equal to m removes nothing from a reject.  A member's
-    contribution is computed the first time a subcategory containing it
-    asks, so no contribution is computed that joining over every member of
-    C would not compute.
+    Both come from the join of the members' spans (``linalg._join``): a
+    trace is that span, and a reject is its annihilator per vertex, since the
+    common kernel of maps f_x is the annihilator of the rows of the f_x.
+    Memoized per catalog on (kind, m), keyed on the members of C whose span
+    is nonzero, which is exact since a zero span adds nothing to the join.
+    A member's span is computed the first time a subcategory containing it
+    asks, so none is computed that joining over every member of C would not
+    compute.
     """
     cat = c.catalog
     memo = cat._closure_memo.setdefault(("layer", kind), {})
@@ -193,27 +175,25 @@ def _joined(c: SubcatBits, m: Rep, kind: str) -> tuple[_Joins, int]:
     if joins is None:
         joins = memo[m] = _Joins()
     new = c.bits & ~joins.asked
-    if new:
-        joins.asked |= new
-        while new:
-            low = new & -new
-            new ^= low
-            i = low.bit_length() - 1
-            part = _contribution(cat, i, m, kind)
-            if any(sp.dim for sp in part) if kind == "tors" else any(
-                    sp.dim < d for sp, d in zip(part, m.dims)):
-                joins.live |= low
-                joins.parts[i] = part
+    joins.asked |= new
+    while new:
+        low = new & -new
+        new ^= low
+        i = low.bit_length() - 1
+        span = _contribution(cat, i, m, kind)
+        if any(span):
+            joins.live |= low
+            joins.parts[i] = span
     key = c.bits & joins.live
     if key not in joins.layers:
-        parts = (part for i, part in joins.parts.items() if key >> i & 1)
-        joins.layers[key] = SubRep(m, _join(cat.algebra.p, m.dims, parts, kind))
-    return joins, key
-
-
-def _layer(c: SubcatBits, m: Rep, kind: str) -> SubRep:
-    """The trace (kind tors) or reject (kind torf) of C in m."""
-    joins, key = _joined(c, m, kind)
+        p = cat.algebra.p
+        span = tuple(() for _ in m.dims)
+        for i, part in joins.parts.items():
+            if key >> i & 1:
+                span = _join(p, span, part)
+        mats = (Mat(p, len(rows), d, rows) for d, rows in zip(m.dims, span))
+        joins.layers[key] = SubRep(m, tuple(
+            Subspace(a.ncols, a) if kind == "tors" else Subspace.kernel_of(a) for a in mats))
     return joins.layers[key]
 
 
@@ -281,28 +261,30 @@ class ChainCertificate(NamedTuple):
 def _chain_next(c: SubcatBits, mid: ModuleId, kind: str) -> tuple[tuple[int, ...], ModuleId]:
     """One chain step on an isomorphism class: (layer dims, next class).
 
-    Memoized with the layer, so every subcategory with that layer shares it.
+    Trace and reject commute with finite direct sums, so the step adds up
+    the layer dims of each summand and joins the summands' next classes:
+    no sum is assembled or identified.
     """
     cat = c.catalog
-    joins, key = _joined(c, cat.rep_of(mid), kind)
-    step = joins.steps.get(key)
-    if step is None:
-        layer = joins.layers[key]
-        nxt = _layer_class(cat, layer, "quotient" if kind == "tors" else "sub")
-        step = joins.steps[key] = (layer.dims, nxt)
-    return step
+    dims, nxt = (0,) * cat.algebra.n_vertices, []
+    for k in mid:
+        layer = _layer(c, cat.indecs[k], kind)
+        dims = tuple(map(sum, zip(dims, layer.dims)))
+        nxt += _layer_class(cat, k, layer, "quotient" if kind == "tors" else "sub")
+    return dims, tuple(sorted(nxt))
 
 
-def _layer_class(cat: Catalog, layer: SubRep, part: str) -> ModuleId:
-    """The class of the submodule ``layer`` (part "sub") or of its ambient modulo it ("quotient").
+def _layer_class(cat: Catalog, k: int, layer: SubRep, part: str) -> ModuleId:
+    """The class of ``layer``, a submodule of member k (part "sub"), or of k modulo it ("quotient").
 
-    Memoized per catalog and part on the submodule's value.
+    Memoized per catalog and part on (k, the layer's span rows).
     """
     memo = cat._closure_memo.setdefault(f"{part}_classes", {})
-    if layer not in memo:
-        memo[layer] = (cat.identify_sub(layer) if part == "sub"
-                       else cat.identify(quotient(layer.ambient, layer)[0]))
-    return memo[layer]
+    key = (k, layer.key())
+    if key not in memo:
+        memo[key] = (cat.identify_sub(layer) if part == "sub"
+                     else cat.identify(quotient(layer.ambient, layer)[0]))
+    return memo[key]
 
 
 def _chain(c: SubcatBits, idx: int,
@@ -405,14 +387,12 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
 
 
 def _subquotient_mask(cat: Catalog, i: int) -> int:
-    """Bits of the catalog indices in submodules or quotients of indec_i, memoized on the catalog."""
+    """Bits of i and of every class in the oracle's splits of indec_i, memoized on the catalog."""
     memo = cat._closure_memo.setdefault("subquotients", {})
     if i not in memo:
-        found: set[int] = set()
-        m = cat.indecs[i]
-        for s in all_submodules(m):
-            found.update(cat.identify_sub(s))
-            found.update(cat.identify(quotient(m, s)[0]))
+        found = {i}
+        for layer, rest in _splits(cat, cat.indecs[i], SUBMODULE_DIM_CAP):
+            found.update(cat.identify(layer) + cat.identify(rest))
         memo[i] = sum(1 << k for k in found)
     return memo[i]
 
@@ -497,8 +477,8 @@ def torsion_pair_complete(f: SubcatBits) -> TorsionPair:
     for k in range(cat.n):
         x = cat.indecs[k]
         tr = trace(t, x)
-        torsion_part = _layer_class(cat, tr, "sub")
-        free_part = _layer_class(cat, tr, "quotient")
+        torsion_part = _layer_class(cat, k, tr, "sub")
+        free_part = _layer_class(cat, k, tr, "quotient")
         ok = t.contains_id(torsion_part) and f.contains_id(free_part)
         verified = verified and ok
         witnesses.append(

@@ -10,9 +10,10 @@ nonzero column (over F_2, the lowest set bit), and a pivot row is scaled so
 that entry is 1.  ``_pivot_insert`` grows echelon rows keyed by that column;
 ``_reduced_rows`` back-substitutes them into the unique reduced row-echelon
 basis of the span, which ``rref``, ``Subspace`` and the kernel oracle's image
-spans share.  ``_join`` joins tuples of such bases partwise, and
-``_join_closure`` grows every join of some generators from zero: the
-submodule lattices and the kernel oracle's image spans are built this way.
+spans share.  ``_join`` joins tuples of such bases partwise: the kernel
+oracle's image spans and the traces and rejects of ``closures`` are built
+this way.  ``_join_closure`` grows every join of some generators from zero,
+for the submodule lattices.
 Everything is an immutable value.
 """
 

@@ -1,6 +1,7 @@
 """Trace/reject, torsion-theoretic closures, filtration oracle, torsion pairs."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -267,7 +268,7 @@ def test_serre_cap_error_names_the_first_member_over_the_cap(monkeypatch, names,
 
     So {M1, M3, M6} reaches M4 through extensions of M1 and M2 before it visits M6.
     """
-    monkeypatch.setattr(closures, "all_submodules", lambda m, cap=3: all_submodules(m, cap))
+    monkeypatch.setattr(closures, "SUBMODULE_DIM_CAP", 3)
     cat = build_builtin("uniserial:6")
     with pytest.raises(CapExceeded, match=f"^total dimension {dim} exceeds submodule cap 3$"):
         serre_closure(SubcatBits.from_names(cat, names))
@@ -366,6 +367,41 @@ def test_join_memo_computes_each_asked_contribution_once(monkeypatch):
                 asked.update((i, m, kind) for i in c.indices())
     assert len(calls) == len(set(calls))
     assert set(calls) == asked
+
+
+def reference_step(c, mid, kind):
+    """One chain step on the assembled sum: its layer's dims and the class it leaves."""
+    cat = c.catalog
+    m = cat.rep_of(mid)
+    layer = reference_layer(c, m, kind)
+    nxt = cat.identify(quotient(m, layer)[0]) if kind == "tors" else cat.identify_sub(layer)
+    return layer.dims, nxt
+
+
+def assert_steps_split_over_summands(cat, subsets, mids):
+    for bits in subsets:
+        c = SubcatBits(cat, bits)
+        for mid in mids:
+            for kind in ("tors", "torf"):
+                assert closures._chain_next(c, mid, kind) == reference_step(c, mid, kind), (
+                    bits, mid, kind)
+
+
+@pytest.mark.parametrize("descriptor,p", [("a3", 2), ("an:3:<>", 3), ("uniserial:3", 2)])
+def test_chain_steps_split_over_summands(descriptor, p):
+    """Every subset, and every sum of at most three members, repeats included."""
+    cat = build_builtin(descriptor, p=p)
+    mids = [mid for size in (1, 2, 3) for mid in combinations_with_replacement(range(cat.n), size)]
+    assert_steps_split_over_summands(cat, range(1 << cat.n), mids)
+
+
+def test_chain_steps_split_over_summands_off_a_complete_catalog(tmp_path):
+    cat = nakayama_a3_rad2(tmp_path)
+    assert not cat.complete
+    rng = random.Random(2)
+    subsets = rng.sample(range(1 << cat.n), 12)
+    mids = [tuple(sorted(rng.choices(range(cat.n), k=rng.randint(1, 3)))) for _ in range(16)]
+    assert_steps_split_over_summands(cat, subsets, mids)
 
 
 def reference_witnesses(f):

@@ -120,6 +120,34 @@ def test_one_closure_engine(monkeypatch):
     assert walked == ["torf"]
 
 
+def test_chains_stay_on_catalog_members(monkeypatch):
+    """Chain steps split over summands, so no chain assembles a sum; layers join in _join."""
+    from subcat import closures, linalg
+
+    tors_cat, cert_cat = build_builtin("an:3:<>"), build_builtin("an:4")
+    join, joined = linalg._join, []
+
+    def recording(p, a, c):
+        joined.append(p)
+        return join(p, a, c)
+
+    def refused(self, mid):
+        raise AssertionError(f"rep_of{mid} called on the chain path")
+
+    monkeypatch.setattr(closures, "_join", recording)
+    monkeypatch.setattr(Catalog, "rep_of", refused)
+    for bits in range(1 << tors_cat.n):
+        c = closures.SubcatBits(tors_cat, bits)
+        closures.tors_closure(c)
+        closures.torf_closure(c)
+    for k in range(cert_cat.n):
+        c = closures.SubcatBits.of(cert_cat, [k])
+        for idx in range(cert_cat.n):
+            for kind in ("tors", "torf"):
+                closures.chain_certificate(c, idx, kind)
+    assert joined
+
+
 def test_value_semantics_are_defined_once():
     """_Frozen derives equality, hashing, repr and pickling; only Rep caches its own hash."""
     from subcat import closures, lattices, rep  # noqa: F401  (they define the subclasses)
