@@ -1,4 +1,4 @@
-"""The letter checks behind ``is_closed`` for wide, ice, ike and ie: the bounded kernel oracle.
+"""The letter checks behind ``is_closed`` for wide, ice, ike and ie: the kernel oracle.
 
 ``lattices.is_closed`` imports this module on its first wide, ice, ike or
 ie check, so a process that only builds catalogs or enumerates families
@@ -13,43 +13,34 @@ closure condition:
   is both a quotient of a sum (full trace) and a submodule of a sum (zero
   reject), and conversely any such module is an image, so closure under
   images reduces to a trace/reject test on each catalog indecomposable.
-* kernels: decided by one step from the saturated seed; a walk names the
-  witness.  Kernels of maps into a sum are iterated kernels of maps into
-  single members, and a map from a member sum into X_b column-reduces
-  (over the local endomorphism rings) to (v, 0) on C + R with C <= mu_b|s,
-  at most mu(i, b) copies of each X_i.  Let C_b = sum over i in s of
-  X_i^mu(i, b), the core of the saturated seed (saturation + 1 copies of
-  each member) at b.  Then s is closed under kernels if and only if, for
-  each b in s, every kernel of a nonzero map C_b -> X_b lies in add s: C is
-  a summand of C_b, and ker(v, 0) on C_b is ker v + (C_b - C).  So every
-  escape a walk finds, at any caps, shows up in the step, and every core
-  a walk reaches lies below mu_b|s, so no walk meets a Hom budget the step
-  passed.  When the step finds no escape, no walk runs.
-  A step that escapes, or raises, runs the walk: a worklist over
-  isomorphism classes from seeds within the configured caps, with each
-  multiplicity capped at a sticky "many" value, which keeps every
-  reachable kernel class.  A state is an int with one fixed-width count
-  field per indecomposable, so the core split and the sticky cap are
-  field-wise minimums and adding the surplus back is one addition; a state
-  becomes a tuple only to print a witness.  The walk visits the frontier
-  and each step's kernel classes in the order of their sorted index
-  tuples; its first escape is the witness and its errors are the ones
-  raised, so witnesses and exits do not depend on the step.  Every
-  reported violation is a genuine kernel of a morphism between member
-  sums.
+* kernels: decided by one step, which also names the witness.  Kernels of
+  maps into a sum are iterated kernels of maps into single members, and a
+  map from a member sum into X_b column-reduces (over the local
+  endomorphism rings) to (v, 0) on C + R with C <= mu_b|s, at most
+  mu(i, b) copies of each X_i.  Let C_b = sum over i in s of X_i^mu(i, b),
+  the core at b of the saturated seed (saturation + 1 copies of each
+  member).  Then s is closed under kernels if and only if, for each b in
+  s, every kernel of a nonzero map C_b -> X_b lies in add s: C is a summand
+  of C_b, and ker(v, 0) on C_b is ker v + (C_b - C).  So the step reads the
+  kernel classes of the maps C_b -> X_b, member by member in index order,
+  and its first class outside s is the witness, a genuine kernel of a
+  morphism between member sums.  No configured cap enters: the only bound
+  is the Hom budget ``KERNEL_ENUM_CAP``, and a step over it raises.
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both are ranks of
   joins of the summands' image spans, read off a per-catalog table of
   compositions of the Hom bases (``_pair_images``) and folded over the
   summands one at a time, and (dimension vector, Hom profile) decodes to
-  the class through the catalog's ``_class_of``.  A catalog not marked
-  complete builds each distinct kernel and identifies it through
-  ``identify``, so a summand outside the catalog still raises UnknownModule.
-* cokernels: the kernel search on the opposite catalog.
+  the class through the catalog's ``_class_of``; a kernel that does not
+  decode there belies the catalog's completeness and raises UnknownModule.
+  A catalog not marked complete builds each distinct kernel and identifies
+  it through ``identify``, so a summand outside the catalog still raises
+  UnknownModule.
+* cokernels: the kernel step on the opposite catalog.
 
 The mu bounds, which cap the copies of each indecomposable in the kernel
-search, serve only this search: they are built on its first step and
+step, serve only this step: they are built on its first use and
 memoized on the catalog, so enumeration never builds them.  Each bound
 reads the End(X_i)-submodules of Hom(X_i, X_j), grown as joins of cyclic
 submodules from 0 (``_join_closure``) rather than filtered out of every
@@ -60,22 +51,21 @@ row-echelon Hom basis, with no linear solve.
 from __future__ import annotations
 
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits
 from .closures import SubcatBits, _ext_rows, fac_contains, sub_contains
-from .errors import CapExceeded, SubcatError
+from .errors import CapExceeded, UnknownModule
 from .linalg import Mat, Subspace, _combine, _join, _join_closure, _kron_rows, _reduced_rows
 from .rep import _lines, direct_sum, flat_entries, kernel, morphism_from_coeffs
 
 if TYPE_CHECKING:
-    from .lattices import CheckConfig
     from .rep import Morphism, Rep
 
 KERNEL_ENUM_CAP = 1 << 16
 
 
-def letter_violation(kind: str, s: SubcatBits, cfg: CheckConfig) -> Optional[str]:
+def letter_violation(kind: str, s: SubcatBits) -> Optional[str]:
     """The first failing check of a wide, ice, ike or ie candidate, or None if all pass.
 
     Extensions first; then images for ice, ike and ie, kernels for wide and
@@ -85,9 +75,9 @@ def letter_violation(kind: str, s: SubcatBits, cfg: CheckConfig) -> Optional[str
     if witness is None and kind in ("ice", "ike", "ie"):
         witness = _image_violation(s)
     if witness is None and kind in ("wide", "ike"):
-        witness = _kernel_violation(s, cfg)
+        witness = _kernel_violation(s)
     if witness is None and kind in ("wide", "ice"):
-        witness = _cokernel_violation(s, cfg)
+        witness = _cokernel_violation(s)
     return witness
 
 
@@ -223,7 +213,10 @@ def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
     found = {tuple(size - len(rows) for size, rows in zip(sizes, w)) for w in joins if w != zero}
     classes = frozenset(cat._class_of(ks[:nv], ks[nv:]) for ks in found)
     if None in classes:
-        return _materialized_kernel_classes(cat, core, b)
+        raise UnknownModule(
+            f"a kernel of a morphism {_mid_label(cat, core)} -> {cat.names[b]} does not "
+            f"decode to a sum of catalog members, though the catalog is marked complete"
+        )
     return classes
 
 
@@ -333,227 +326,61 @@ def _submodules(p: int, h: int, actions: Sequence[Mat]) -> list[tuple]:
     return [w for (w,) in _join_closure(p, ((),), cyclic)]
 
 
-# -- packed search states ---------------------------------------------------------------
+# -- the kernel step ----------------------------------------------------------------------
 
 
-class _Packing(NamedTuple):
-    """Multisets of catalog indices as ints, one fixed-width count field per index.
+def _step_escape(s: SubcatBits) -> Optional[tuple]:
+    """The first kernel class outside s of a step, as (core, b, class), or None if s is closed.
 
-    Index k takes bits [k * width, (k + 1) * width).  The top bit of each
-    field is a guard that stays zero, so a field-wise compare never borrows
-    from the next field.
-    """
-
-    width: int
-    unit: tuple[int, ...]  # per index, a count of 1 in its field
-    guards: int  # the guard bit of every field
-    mu: tuple[int, ...]  # per target b, mu(i, b) in field i
-    sticky: int  # saturation + 1 in every field
-
-    def pack(self, mid: ModuleId) -> int:
-        return sum(self.unit[k] for k in mid)
-
-    def unpack(self, state: int) -> ModuleId:
-        mask = (1 << self.width - 1) - 1
-        return tuple(k for k in range(len(self.unit))
-                     for _ in range(state >> k * self.width & mask))
-
-
-def _packing(cat: Catalog) -> _Packing:
-    """The packing of the kernel search, built on first use.
-
-    A count in a search state is a seed count or a sticky-capped one, at
-    most saturation + 1, plus, in a kernel of a map from the core into b,
-    at most the total dimension of that core; the field holds their sum.
-    """
-    memo = cat._closure_memo
-    if "packing" not in memo:
-        n, (mu, sat) = cat.n, _mu_tables(cat)
-        dims = [m.total_dim for m in cat.indecs]
-        core_dim = max(sum(mu[i][b] * dims[i] for i in range(n)) for b in range(n))
-        width = (max(sat) + 1 + core_dim).bit_length() + 1
-        unit = tuple(1 << k * width for k in range(n))
-        memo["packing"] = _Packing(
-            width, unit, sum(u << width - 1 for u in unit),
-            tuple(sum(mu[i][b] * unit[i] for i in range(n)) for b in range(n)),
-            sum((sat[k] + 1) * unit[k] for k in range(n)),
-        )
-    return memo["packing"]
-
-
-def _ordered_kernel_classes(cat: Catalog, pk: _Packing, core: int, b: int, top: int) -> tuple:
-    """(packed class, support bits) per kernel class of the maps from core into b.
-
-    Ordered as the sorted index tuples of the classes plus a surplus whose
-    largest index is ``top`` (-1: no surplus), and that order depends on
-    the surplus through ``top`` alone.  Two such tuples first differ at the
-    first index i where the classes differ; the one with more copies of i
-    is smaller unless nothing follows i in the other, that is, unless the
-    other class and the surplus both stop at or before i.
-    """
-    mid = pk.unpack(core)
-    classes = cat._closure_memo.setdefault("kerstep", {})
-    if (mid, b) not in classes:
-        classes[(mid, b)] = _kernel_classes(cat, mid, b)
-    tail = (top,) if top >= 0 else ()
-    return tuple(
-        (pk.pack(kid), sum(1 << k for k in set(kid)))
-        for kid in sorted(classes[(mid, b)], key=lambda kid: tuple(sorted(kid + tail)))
-    )
-
-
-def _generator_states(s: SubcatBits, cfg: CheckConfig) -> list[int]:
-    """Dominance-maximal seed multisets on the members, packed.
-
-    A seed takes at most min(mult_cap, saturation + 1) copies of each member
-    (more are redundant for kernel classes) within the dimension cap: the
-    seeds are the maximal nonzero multisets of this box, where every member
-    is at its cap or no longer fits, and every nonzero multiset of the box
-    lies below one of them.
-
-    Only maximal seeds need exploring, because a state y below a state x
-    (field-wise) finds no escape that x misses.  The core min(y, mu_b) lies
-    below min(x, mu_b), so it is a summand of it, and a nonzero v from
-    core(y) into X_b extends by zero to (v, 0) on core(x), with
-    ker(v, 0) = ker v + (core(x) - core(y)).  Adding the surplus back gives
-    the step from x the kernel class of the step from y plus x - y: its
-    support contains the other's, so every escape from y is an escape from
-    x, and after the sticky cap (a field-wise minimum) the state it reaches
-    still lies above the one y reaches.  By induction on the steps to an
-    escape, each escape reachable from y is reachable from x, and each state
-    reachable from y lies below one reachable from x, whose Hom spaces into
-    every target are at least as large, so y also meets no cap that x does
-    not.  With x the saturated seed, this is why _top_step_escapes decides.
+    The members b are taken in index order, each with its core mu_b|s,
+    mu(i, b) copies of each member i; a member with an empty core has no
+    nonzero morphism to step along.  The witness is the least escaping class
+    of the first b that has one, in the order of sorted index tuples.
     """
     cat = s.catalog
-    unit = _packing(cat).unit
-    dims = [m.total_dim for m in cat.indecs]
-    sat = _mu_tables(cat)[1]
+    mu = _mu_tables(cat)[0]
+    steps = cat._closure_memo.setdefault("kerstep", {})
     members = s.indices()
-    caps = {i: min(cfg.mult_cap, sat[i] + 1) for i in members}
-    rest = [sum(caps[i] * dims[i] for i in members[t:]) for t in range(len(members) + 1)]
-    gens = []
-
-    def rec(t: int, used: int, state: int, need: int) -> None:
-        # need: the least dimension of a member left below its cap so far
-        if used + rest[t] + need <= cfg.dim_cap:
-            return  # that member would still fit in every completion
-        if t == len(members):
-            if used:
-                gens.append(state)
-            return
-        i = members[t]
-        for m in range(caps[i] + 1):
-            total = used + m * dims[i]
-            if total > cfg.dim_cap:
-                break
-            rec(t + 1, total, state + m * unit[i], need if m == caps[i] else min(need, dims[i]))
-
-    rec(0, 0, 0, cfg.dim_cap + 1)
-    return gens
-
-
-def _top_step_escapes(s: SubcatBits) -> bool:
-    """Whether a kernel of a nonzero map from mu_b|s into some member X_b leaves s.
-
-    mu_b|s, the packed mu_b masked to the fields of the members, is the core
-    of the saturated seed at b; by the module docstring, this one step
-    decides closure under kernels.
-    """
-    cat = s.catalog
-    pk = _packing(cat)
-    member_fields = sum(((1 << pk.width) - 1) << k * pk.width for k in s.indices())
-    outside = ~s.bits
-    return any(support & outside
-               for b in s.indices() if pk.mu[b] & member_fields
-               for _, support in _ordered_kernel_classes(cat, pk, pk.mu[b] & member_fields, b, -1))
-
-
-def _escape(s: SubcatBits, cfg: CheckConfig) -> Optional[tuple]:
-    """A kernel of a member-sum morphism outside s, as (state, b, kernel class), or None.
-
-    Worklist over sticky-capped isomorphism classes, packed as ints; iterating
-    single-target kernel steps covers kernels of maps into arbitrary member
-    sums, since those are iterated kernels of the restrictions.  From a
-    state, the core keeps min(mult, mu) copies per indecomposable; the
-    remaining copies land in every kernel untouched and are added back.
-
-    The walk visits the frontier and each step's kernel classes in the order
-    of their sorted index tuples, which fixes the first witness.  It runs
-    only where _top_step_escapes finds an escape or raises.
-    """
-    cat = s.catalog
-    pk = _packing(cat)
-    guards, sticky, shift, width = pk.guards, pk.sticky, pk.width - 1, pk.width
-    outside = ~s.bits
-    ordered = cat._closure_memo.setdefault("kerstep_packed", {})
-    targets = [(b, pk.mu[b]) for b in s.indices()]
-    frontier = sorted(_generator_states(s, cfg), key=pk.unpack)
-    seen = set(frontier)
-    while frontier:
-        state = frontier.pop()
-        for b, mu in targets:
-            # per field min(state, mu): take mu where the guard survives state - mu
-            ge = ((state | guards) - mu) & guards
-            take = ge - (ge >> shift)
-            core = (mu & take) | (state & ~take)
-            if not core:
-                continue  # Hom(state, X_b) = 0: no nonzero morphism
-            surplus = state - core
-            # the largest index in the surplus (-1 for none) fixes the class order
-            key = (core, b, (surplus.bit_length() - 1) // width)
-            classes = ordered.get(key)
-            if classes is None:
-                classes = ordered[key] = _ordered_kernel_classes(cat, pk, *key)
-            for kc, support in classes:
-                kid = kc + surplus
-                if support & outside:
-                    return pk.unpack(state), b, pk.unpack(kid)
-                # the sticky cap: per field min(kid, saturation + 1)
-                ge = ((kid | guards) - sticky) & guards
-                take = ge - (ge >> shift)
-                capped = (sticky & take) | (kid & ~take)
-                if capped and capped not in seen:
-                    seen.add(capped)
-                    frontier.append(capped)
+    for b in members:
+        core = tuple(i for i in members for _ in range(mu[i][b]))
+        if not core:
+            continue
+        if (core, b) not in steps:
+            steps[(core, b)] = _kernel_classes(cat, core, b)
+        escapes = [kid for kid in steps[(core, b)] if not s.contains_id(kid)]
+        if escapes:
+            return core, b, min(escapes)
     return None
 
 
-def _kernel_violation(s: SubcatBits, cfg: CheckConfig, dual: bool = False) -> Optional[str]:
-    """Search for a kernel of a member-sum morphism outside the subcategory.
+def _kernel_violation(s: SubcatBits, dual: bool = False) -> Optional[str]:
+    """A kernel of a member-sum morphism outside the subcategory, or None.
 
-    The step from the saturated seed settles the subsets with no escape; an
-    escape, or any error on the way, runs the walk, whose first escape is
-    the witness and whose errors are the ones raised.
+    The step decides and names the witness, memoized per subset on the
+    catalog; its errors propagate.
     """
     if s.is_empty:
         return None
     cat = s.catalog
-    memo = cat._closure_memo.setdefault(("kviol", cfg.mult_cap, cfg.dim_cap), {})
-    if s.bits in memo:
-        hit = memo[s.bits]
-    else:
-        try:
-            refuted = _top_step_escapes(s)
-        except SubcatError:
-            refuted = True
-        hit = _escape(s, cfg) if refuted else None
-        memo[s.bits] = hit
+    memo = cat._closure_memo.setdefault("kviol", {})
+    if s.bits not in memo:
+        memo[s.bits] = _step_escape(s)
+    hit = memo[s.bits]
     if hit is None:
         return None
-    state, b, kid = hit
+    core, b, kid = hit
     if dual:
         return (
-            f"a morphism {cat.names[b]} -> {_mid_label(cat, state)} between member sums "
+            f"a morphism {cat.names[b]} -> {_mid_label(cat, core)} between member sums "
             f"has cokernel {_mid_label(cat, kid)}, outside the subcategory"
         )
     return (
-        f"a morphism {_mid_label(cat, state)} -> {cat.names[b]} between member sums "
+        f"a morphism {_mid_label(cat, core)} -> {cat.names[b]} between member sums "
         f"has kernel {_mid_label(cat, kid)}, outside the subcategory"
     )
 
 
-def _cokernel_violation(s: SubcatBits, cfg: CheckConfig) -> Optional[str]:
+def _cokernel_violation(s: SubcatBits) -> Optional[str]:
     """Cokernels are kernels in the opposite catalog (same index order)."""
     op = s.catalog.opposite()
-    return _kernel_violation(SubcatBits(op, s.bits), cfg, dual=True)
+    return _kernel_violation(SubcatBits(op, s.bits), dual=True)

@@ -351,9 +351,9 @@ def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sp.add_argument("--modules", help="directory of module JSON files (with --algebra)")
     sp.add_argument("--format", choices=formats, default="table")
     sp.add_argument("--mult-cap", type=int, default=2, dest="mult_cap",
-                    help="max multiplicity per indecomposable in bounded searches")
+                    help="echoed in the JSON checker_config; changes no result")
     sp.add_argument("--dim-cap", type=int, default=16, dest="dim_cap",
-                    help="max total dimension of assembled sums in bounded searches")
+                    help="echoed in the JSON checker_config; changes no result")
     sp.add_argument("--out", help="write output to this path instead of stdout")
 
 

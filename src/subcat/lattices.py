@@ -1,4 +1,4 @@
-"""Subcategory families of the seven kinds, and the bounded class checkers.
+"""Subcategory families of the seven kinds, and the class checkers.
 
 Enumeration (``enumerate_family``, strategy ``auto``) is exact and derives
 every family from lattice identities over bitset tables, built lazily per
@@ -42,14 +42,15 @@ UnknownModule when one is missing.  The chain closures also stay behind
 ``closure``, ``is_closed`` and the verify oracles, which keeps those
 independent of the perps.
 
-``is_closed`` is the independent, bounded oracle, and strategy
-``bruteforce`` filters all 2^n subsets through it.  It decides serre, tors
-and torf exactly through the chain closure operators.  For wide, ice, ike
-and ie it runs the letter checks of ``_kernel_search``, a module imported
-on the first such check: the exact extension and image tests, and for
-wide, ice and ike the bounded kernel/cokernel search.  ie is thus decided
-by its definition, closure under images and extensions, and not by the
-theorem the lattice path uses.
+``is_closed`` is the independent oracle, and strategy ``bruteforce``
+filters all 2^n subsets through it.  It decides serre, tors and torf
+exactly through the chain closure operators.  For wide, ice, ike and ie it
+runs the letter checks of ``_kernel_search``, a module imported on the
+first such check: the exact extension and image tests, and for wide, ice
+and ike the kernel/cokernel step, which decides exactly and names the
+witness.  ie is thus decided by its definition, closure under images and
+extensions, and not by the theorem the lattice path uses.  No check reads
+the caps of ``CheckConfig``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,11 @@ INCLUSION_ARROWS = (
 
 
 class CheckConfig(_Frozen):
-    """Caps for the bounded morphism searches in wide/ice/ike checking."""
+    """The --mult-cap/--dim-cap values, echoed in a family's ``checker_config``.
+
+    The checks are exact and read neither cap, so no result depends on
+    them; verify's ``cap-robustness`` check guards that.
+    """
 
     __slots__ = ("mult_cap", "dim_cap")
 
@@ -102,9 +107,9 @@ def is_closed(kind: str, s: SubcatBits, cfg: Optional[CheckConfig] = None) -> tu
 
     serre/tors/torf are decided exactly through closure operators; the
     wide/ice/ike/ie letter checks combine the exact extension and image
-    tests with, for all but ie, the bounded kernel/cokernel search.
+    tests with, for all but ie, the kernel/cokernel step.  ``cfg`` changes
+    no answer.
     """
-    cfg = cfg or CheckConfig()
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
     if kind in _CLOSURES:
@@ -114,7 +119,7 @@ def is_closed(kind: str, s: SubcatBits, cfg: Optional[CheckConfig] = None) -> tu
         return True, None
     from ._kernel_search import letter_violation
 
-    witness = letter_violation(kind, s, cfg)
+    witness = letter_violation(kind, s)
     return witness is None, witness
 
 
@@ -309,8 +314,8 @@ def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto",
 
     ``auto`` derives the family exactly from the lattice tables (see the
     module docstring).  ``bruteforce`` filters all 2^n subsets through the
-    bounded checker is_closed, the oracle of ``auto``; both return identical
-    families.
+    checker is_closed, the oracle of ``auto``; both return identical
+    families.  ``cfg`` is echoed in the family's ``checker_config`` only.
     """
     cfg = cfg or CheckConfig()
     if kind not in KINDS:

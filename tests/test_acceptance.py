@@ -225,7 +225,7 @@ def test_criterion_09_cap_robustness(cats):
     doubled = CheckConfig(mult_cap=4, dim_cap=32)
     for name, cat in cats.items():
         for kind in KINDS:
-            # the bounded checker is what the caps govern
+            # bruteforce runs the checks that take the caps, which must change nothing
             strategy = "bruteforce" if kind in ("wide", "ice", "ike", "ie") else "auto"
             small = enumerate_family(cat, kind, strategy, base).bitsets()
             large = enumerate_family(cat, kind, strategy, doubled).bitsets()

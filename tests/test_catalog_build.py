@@ -168,7 +168,7 @@ def test_enumeration_never_builds_mu_bounds():
 def test_kernel_search_builds_pinned_mu_bounds(descriptor):
     cat = build_builtin(descriptor)
     assert "mu" not in cat._closure_memo
-    # small caps keep the search short; its first kernel step builds the whole table
+    # the first kernel step builds the whole table
     is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1), CheckConfig(mult_cap=1, dim_cap=4))
     assert cat._closure_memo["mu"] == (PINNED_MU[descriptor], PINNED_SATURATION[descriptor])
     assert _mu_tables(cat) is cat._closure_memo["mu"]

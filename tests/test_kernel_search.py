@@ -1,12 +1,13 @@
-"""The rank-based kernel step of the bounded search against materialized kernels."""
+"""The rank-based kernel step against materialized kernels, and its errors."""
 
 import json
+import re
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from subcat import _kernel_search
-from subcat.catalog import build_builtin
+from subcat import _kernel_search, cli
+from subcat.catalog import Catalog, build_builtin
 from subcat.closures import SubcatBits
 from subcat.errors import CapExceeded, UnknownModule
 from subcat.files import load_catalog
@@ -14,6 +15,7 @@ from subcat.lattices import KINDS, enumerate_family, is_closed
 from subcat.rep import hom_basis, kernel, morphism_from_coeffs
 
 from test_lattice_path import nakayama_a3_rad2
+from test_value_types import kronecker_preprojectives
 
 
 def reference_classes(cat, core, b):
@@ -75,6 +77,14 @@ def test_kernel_classes_match_on_incomplete_catalog(tmp_path):
     assert_keys_match_reference(cat)
 
 
+def test_the_step_takes_mu_copies_of_each_member():
+    """Of the Kronecker preprojectives, only P1 + P1 maps onto X with a kernel, P2, outside {P1, X}."""
+    cat = kronecker_preprojectives(2)
+    assert _kernel_search._mu_tables(cat)[0][1][2] == 2
+    assert _kernel_search._kernel_violation(SubcatBits(cat, 0b110)) == (
+        "a morphism P1 + P1 + X -> X between member sums has kernel P2 + X, outside the subcategory")
+
+
 def test_kernel_search_cap_message(monkeypatch):
     monkeypatch.setattr(_kernel_search, "KERNEL_ENUM_CAP", 1)
     cat = build_builtin("uniserial:3")
@@ -82,33 +92,74 @@ def test_kernel_search_cap_message(monkeypatch):
         is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
 
 
+def step_outcome(c, s, budget):
+    """The kernel step on s under a Hom budget: "raised", "escape" or None.
 
-def wide_outcomes(cat):
-    """Per nonempty subset: is_closed("wide"), or the CapExceeded text."""
-    outcomes = {}
-    for bits in range(1, 1 << cat.n):
-        try:
-            outcomes[bits] = is_closed("wide", SubcatBits(cat, bits))
-        except CapExceeded as exc:
-            outcomes[bits] = ("raised", str(exc))
-    return outcomes
+    Members in index order, as the step takes them, reading the classes the
+    unbudgeted step stored in the catalog's memo.
+    """
+    mu = _kernel_search._mu_tables(c)[0]
+    for b in s.indices():
+        core = tuple(i for i in s.indices() for _ in range(mu[i][b]))
+        if not core:
+            continue
+        if c.algebra.p ** sum(c.hom_dims[i][b] for i in core) > budget:
+            return "raised"
+        if any(not s.contains_id(kid) for kid in c._closure_memo["kerstep"][(core, b)]):
+            return "escape"
+    return None
 
 
 def test_decision_walk_keeps_cap_errors_and_witnesses(monkeypatch):
-    """Under every budget the steps straddle, exits and witnesses equal the ordered walk's alone."""
+    """Under every budget the steps straddle, is_closed("wide") raises where a step does.
+
+    That is on exactly the subsets with no extension witness whose kernel
+    step, or failing an escape there the cokernel step, meets a core over
+    the budget before an escape.  Elsewhere the answer and witness are the
+    unbudgeted ones.
+    """
     cat = build_builtin("uniserial:4")
-    enumerate_family(cat, "wide", "bruteforce")
+    unbudgeted = {bits: is_closed("wide", SubcatBits(cat, bits)) for bits in range(1, 1 << cat.n)}
     reached = sorted({cat.algebra.p ** sum(cat.hom_dims[i][b] for i in core)
                       for core, b in cat._closure_memo["kerstep"]})
-    raised = set()
+    outcomes = set()
     for budget in reached[:-1]:
         monkeypatch.setattr(_kernel_search, "KERNEL_ENUM_CAP", budget)
-        got = wide_outcomes(build_builtin("uniserial:4"))
-        with monkeypatch.context() as m:
-            m.setattr(_kernel_search, "_top_step_escapes", lambda s: True)
-            assert got == wide_outcomes(build_builtin("uniserial:4")), budget
-        raised |= {r[0] == "raised" for r in got.values()}
-    assert raised == {True, False}
+        fresh = build_builtin("uniserial:4")
+        for bits in range(1, 1 << cat.n):
+            s = SubcatBits(cat, bits)
+            expected = None
+            if _kernel_search._ext_violation(s) is None:
+                expected = step_outcome(cat, s, budget)
+                if expected is None:
+                    expected = step_outcome(cat.opposite(), SubcatBits(cat.opposite(), bits), budget)
+            try:
+                assert is_closed("wide", SubcatBits(fresh, bits)) == unbudgeted[bits], bits
+                raised = False
+            except CapExceeded:
+                raised = True
+            assert raised == (expected == "raised"), (budget, bits)
+            outcomes.add(raised)
+    assert outcomes == {True, False}
+
+
+def test_undecodable_kernel_on_a_complete_catalog_raises(monkeypatch, capsys):
+    """A kernel class that does not decode contradicts completeness: UnknownModule, exit 2."""
+    cat = build_builtin("a2")
+    enumerate_family(cat, "wide", "bruteforce")
+    (core, b), kid = next((key, kid) for key, classes in sorted(cat._closure_memo["kerstep"].items())
+                          for kid in sorted(classes) if kid)
+    rep = cat.rep_of(kid)
+    key = (rep.dims, cat.profile(rep))
+    class_of = Catalog._class_of
+    monkeypatch.setattr(Catalog, "_class_of", lambda self, dims, prof: (
+        None if (dims, prof) == key else class_of(self, dims, prof)))
+    arrow = f"{_kernel_search._mid_label(cat, core)} -> {cat.names[b]}"
+    with pytest.raises(UnknownModule, match=re.escape(arrow)):
+        _kernel_search._kernel_classes(build_builtin("a2"), core, b)
+    assert cli.main(["verify", "--builtin", "a2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "marked complete" in err, err
 
 
 def reference_ext_violation(s):

@@ -2,8 +2,8 @@
 
 For every kind, ``enumerate_family`` (strategy ``auto``, the lattice
 identities) must equal strategy ``bruteforce``, which filters every subset
-through ``is_closed`` and so runs the letter checks and the bounded
-kernel/cokernel search of ``_kernel_search``.  Torsion-free classes of A are
+through ``is_closed`` and so runs the letter checks and the
+kernel/cokernel step of ``_kernel_search``.  Torsion-free classes of A are
 the torsion classes of the opposite algebra, in the same index order.
 """
 

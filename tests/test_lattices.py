@@ -296,7 +296,7 @@ def test_relations_json(a2):
 
 def test_cap_doubling_stable_a2(a2):
     for k in KINDS:
-        # the bounded checker is what the caps govern
+        # bruteforce runs the checks that take the caps, which must change nothing
         strategy = "bruteforce" if k in ("wide", "ice", "ike", "ie") else "auto"
         base = enumerate_family(a2, k, strategy, CheckConfig(2, 16)).bitsets()
         assert enumerate_family(a2, k, strategy, CheckConfig(4, 32)).bitsets() == base, k

@@ -6,27 +6,27 @@ import json
 import shlex
 from contextlib import redirect_stdout
 from itertools import product
+from operator import add, sub
 from pathlib import Path
 
 import pytest
 
 from subcat import _kernel_search, cli
-from subcat.catalog import build_builtin, mid_counts, mid_from_counts
+from subcat.catalog import build_builtin, mid_add, mid_counts, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
 from subcat._kernel_search import (
-    _escape,
     _kernel_classes,
     _kernel_violation,
     _mid_label,
     _mu_tables,
-    _packing,
-    _top_step_escapes,
+    _step_escape,
 )
-from subcat.lattices import KINDS, CheckConfig, enumerate_family
+from subcat.lattices import KINDS, CheckConfig, enumerate_family, is_closed
 from subcat.linalg import Subspace
 from subcat.rep import all_submodules, hom_basis, image, kernel, quotient, sub_to_rep
 
+from test_kernel_search import reference_classes
 from test_lattice_path import AN3_WORDS, nakayama_a3_rad2
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
@@ -103,7 +103,7 @@ def test_cached_splits_still_check_a_smaller_cap():
 
 
 ORACLE_MEMOS = ("filt_keys", "filt_splits", ("layer", "tors"), ("layer", "torf"),
-                "sub_classes", "quotient_classes", "packing", "kerstep_packed",
+                "sub_classes", "quotient_classes", "kviol", "kerstep",
                 "mu", "subquotients")
 
 
@@ -122,11 +122,16 @@ def test_verification_builds_every_oracle_memo():
     assert [m for m in ORACLE_MEMOS if m not in cat._closure_memo] == []
 
 
-# -- the kernel search on packed multisets -------------------------------------------------
+# -- the kernel step against the capped tuple walk ----------------------------------------
 
 
 def reference_kernel_violation(s, cfg, dual=False):
-    """The kernel search on sorted index tuples, with every multiset step spelled out.
+    """A capped walk on count vectors, with every multiset step spelled out.
+
+    From every maximal seed within the caps, it follows the kernels of maps
+    into single members: the core keeps min(count, mu) copies of each
+    indecomposable, the rest is added back to each kernel class, and each
+    count is capped at saturation + 1.  Its first escape is its witness.
 
     Kernel classes per (core, b) come from the catalog's memo, which
     test_kernel_search checks against materialized kernels.
@@ -134,103 +139,150 @@ def reference_kernel_violation(s, cfg, dual=False):
     cat = s.catalog
     classes = cat._closure_memo.setdefault("kerstep", {})
     mu, sat = _mu_tables(cat)
-    caps = [min(cfg.mult_cap, sat[i] + 1) for i in range(cat.n)]
+    caps = [min(cfg.mult_cap, sat[i] + 1) if s.has(i) else 0 for i in range(cat.n)]
     dims = [m.total_dim for m in cat.indecs]
     seeds = set()
-    for counts in product(*(range(caps[i] + 1) if s.has(i) else (0,) for i in range(cat.n))):
+    for counts in product(*(range(c + 1) for c in caps)):
         used = sum(c * d for c, d in zip(counts, dims))
         if used and used <= cfg.dim_cap and all(
                 counts[i] == caps[i] or used + dims[i] > cfg.dim_cap for i in s.indices()):
-            seeds.add(mid_from_counts({i: c for i, c in enumerate(counts) if c}))
+            seeds.add(counts)
+    as_mid = lambda counts: mid_from_counts(dict(enumerate(counts)))
+    columns = {b: tuple(row[b] for row in mu) for b in s.indices()}
+    sticky = tuple(m + 1 for m in sat)
     seen = set(seeds)
-    frontier = sorted(seen)
+    frontier = sorted(seen, key=as_mid)
+    steps: dict = {}
     while frontier:
         state = frontier.pop()
-        counts = mid_counts(state)
         for b in s.indices():
-            core = {i: min(m, mu[i][b]) for i, m in counts.items() if mu[i][b]}
-            surplus = [i for i, m in counts.items() for _ in range(m - core.get(i, 0))]
-            key = (mid_from_counts(core), b)
-            if key not in classes:
-                classes[key] = _kernel_classes(cat, *key)
-            kids = sorted(tuple(sorted(kid + tuple(surplus))) for kid in classes[key])
-            for kid in kids:
-                if any(not s.has(k) for k in kid):
-                    arrow = (f"{cat.names[b]} -> {_mid_label(cat, state)}" if dual
-                             else f"{_mid_label(cat, state)} -> {cat.names[b]}")
+            core = tuple(map(min, state, columns[b]))
+            if (core, b) not in steps:
+                key = (as_mid(core), b)
+                if key not in classes:
+                    classes[key] = _kernel_classes(cat, *key)
+                steps[(core, b)] = [(tuple(mid_counts(kid).get(i, 0) for i in range(cat.n)), kid)
+                                    for kid in sorted(classes[key])]
+            surplus = tuple(map(sub, state, core))
+            for kc, kid in steps[(core, b)]:
+                if not s.contains_id(kid):
+                    arrow = (f"{cat.names[b]} -> {_mid_label(cat, as_mid(state))}" if dual
+                             else f"{_mid_label(cat, as_mid(state))} -> {cat.names[b]}")
                     word = "cokernel" if dual else "kernel"
                     return (f"a morphism {arrow} between member sums has {word} "
-                            f"{_mid_label(cat, kid)}, outside the subcategory")
-                capped = mid_from_counts({i: min(m, sat[i] + 1) for i, m in mid_counts(kid).items()})
-                if capped and capped not in seen:
+                            f"{_mid_label(cat, mid_add(kid, as_mid(surplus)))}, "
+                            f"outside the subcategory")
+                capped = tuple(map(min, map(add, kc, surplus), sticky))
+                if any(capped) and capped not in seen:
                     seen.add(capped)
                     frontier.append(capped)
     return None
 
 
+def saturating_caps(cat):
+    """Caps whose seeds include the saturated seed: saturation + 1 copies of every member."""
+    sat = _mu_tables(cat)[1]
+    return CheckConfig(max(sat) + 1, sum((m + 1) * x.total_dim for m, x in zip(sat, cat.indecs)))
+
+
+def assert_step_witnesses_are_genuine(cat, subsets=None):
+    """The step refutes where the walk at saturating caps does, with genuine witnesses.
+
+    On the catalog and its opposite; a witness class must be the kernel,
+    built and identified, of some map from its core, and must leave s.
+    """
+    built: dict = {}
+    for c, dual in ((cat, False), (cat.opposite(), True)):
+        saturating = saturating_caps(c)
+        for bits in subsets or range(1, 1 << cat.n):
+            s = SubcatBits(c, bits)
+            text = _kernel_violation(s, dual)
+            assert (text is None) == (reference_kernel_violation(s, saturating) is None), bits
+            if text is None:
+                continue
+            core, b, kid = _step_escape(s)
+            if (core, b) not in built:
+                built[(core, b)] = reference_classes(c, core, b)
+            assert kid in built[(core, b)] and not s.contains_id(kid), bits
+            arrow = (f"{c.names[b]} -> {_mid_label(c, core)}" if dual
+                     else f"{_mid_label(c, core)} -> {c.names[b]}")
+            word = "cokernel" if dual else "kernel"
+            assert text == (f"a morphism {arrow} between member sums has {word} "
+                            f"{_mid_label(c, kid)}, outside the subcategory"), text
+
+
 @pytest.mark.parametrize("descriptor", ["a2", "a3", *(f"an:3:{w}" for w in AN3_WORDS),
                                         "uniserial:3", "uniserial:4"])
 def test_kernel_witnesses_match_tuple_reference(descriptor):
-    cat = build_builtin(descriptor)
-    cfg = CheckConfig()
-    for c, dual in ((cat, False), (cat.opposite(), True)):
-        for bits in range(1, 1 << cat.n):
-            s = SubcatBits(c, bits)
-            assert _kernel_violation(s, cfg, dual) == reference_kernel_violation(s, cfg, dual), bits
+    assert_step_witnesses_are_genuine(build_builtin(descriptor))
+
+
+# Subsets of an:4 on which the capped walk's first witness depended on its visiting order.
+AN4_ORDER_SENSITIVE = (45, 47, 61, 62, 63, 77, 158, 253, 286, 318, 414, 446)
+
+
+def test_kernel_witnesses_match_tuple_reference_an4_order_sensitive():
+    assert_step_witnesses_are_genuine(build_builtin("an:4"), AN4_ORDER_SENSITIVE)
+
+
+def test_kernel_witnesses_match_tuple_reference_nakayama(tmp_path):
+    assert_step_witnesses_are_genuine(nakayama_a3_rad2(tmp_path))
 
 
 @pytest.mark.parametrize("descriptor,p", [("a3", 2), ("a2", 3)])
 def test_bruteforce_at_doubled_caps_matches_tuple_reference(descriptor, p):
-    cat = build_builtin(descriptor, p=p)
-    cfg = CheckConfig(4, 32)
-    for c in (cat, cat.opposite()):
+    """No answer or witness depends on the caps, and at doubled caps the walk refutes as the step.
+
+    is_closed runs on a fresh catalog at small, default and doubled caps.
+    """
+    answers = []
+    for caps in ((1, 1), (2, 16), (4, 32)):
+        cat = build_builtin(descriptor, p=p)
+        answers.append([is_closed(kind, SubcatBits(c, bits), CheckConfig(*caps))
+                        for c in (cat, cat.opposite()) for kind in ("wide", "ice", "ike")
+                        for bits in range(1, 1 << cat.n)])
+    assert answers[0] == answers[1] == answers[2]
+    for c in (cat, cat.opposite()):  # the catalog checked at the doubled caps
         for bits in range(1, 1 << cat.n):
             s = SubcatBits(c, bits)
-            assert _kernel_violation(s, cfg) == reference_kernel_violation(s, cfg), bits
+            walk = reference_kernel_violation(s, CheckConfig(4, 32))
+            assert (_kernel_violation(s) is None) == (walk is None), bits
 
 
-# Subsets of an:4 whose first witness moves when the frontier is not sorted as
-# tuples (kernel search) or when the sticky cap is one lower (cokernel search).
-AN4_ORDER_SENSITIVE = {False: (45, 47, 61, 62, 63, 77), True: (158, 253, 286, 318, 414, 446)}
+@pytest.mark.parametrize("descriptor", ["a3", "an:4", "uniserial:5"])
+def test_bruteforce_at_small_caps_equals_the_lattice(descriptor):
+    cat = build_builtin(descriptor)
+    wide = enumerate_family(cat, "wide").bitsets()
+    assert enumerate_family(cat, "wide", "bruteforce", CheckConfig(1, 2)).bitsets() == wide
 
 
-def test_kernel_witnesses_match_tuple_reference_an4_order_sensitive():
-    cat = build_builtin("an:4")
-    cfg = CheckConfig()
-    for c, dual in ((cat, False), (cat.opposite(), True)):
-        for bits in AN4_ORDER_SENSITIVE[dual]:
-            s = SubcatBits(c, bits)
-            assert _kernel_violation(s, cfg, dual) == reference_kernel_violation(s, cfg, dual), bits
-
-
-def test_kernel_witnesses_match_tuple_reference_nakayama(tmp_path):
-    cat = nakayama_a3_rad2(tmp_path)
-    cfg = CheckConfig()
-    for c, dual in ((cat, False), (cat.opposite(), True)):
-        for bits in range(1, 1 << cat.n):
-            s = SubcatBits(c, bits)
-            assert _kernel_violation(s, cfg, dual) == reference_kernel_violation(s, cfg, dual), bits
+@pytest.mark.parametrize("argv", ["verify --builtin uniserial:5 --mult-cap 1 --dim-cap 2",
+                                  "verify --builtin an:4 --mult-cap 1 --dim-cap 1"])
+def test_verify_passes_at_small_caps(argv, capsys):
+    assert cli.main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.splitlines()[-1].startswith("RESULT: PASS"), out
 
 
 def assert_top_step_matches_ordered(cat, cfgs):
-    """The step from the saturated seed escapes exactly when the ordered walk does.
+    """Every refutation of the capped walk is one of the step.
 
-    On every nonempty subset, at the given caps and at saturating ones, whose
-    seeds include the saturated seed: saturation + 1 copies of every member.
+    At saturating caps, whose seeds include the saturated seed, the two
+    refute the same subsets.
     """
-    sat = _mu_tables(cat)[1]
-    saturating = CheckConfig(max(sat) + 1,
-                             sum((m + 1) * x.total_dim for m, x in zip(sat, cat.indecs)))
+    saturating = saturating_caps(cat)
     for cfg in (*cfgs, saturating):
         for bits in range(1, 1 << cat.n):
             s = SubcatBits(cat, bits)
-            assert _top_step_escapes(s) == (_escape(s, cfg) is not None), (bits, cfg)
+            step = _kernel_violation(s) is not None
+            walk = reference_kernel_violation(s, cfg) is not None
+            assert step == walk if cfg == saturating else (step or not walk), (bits, cfg)
 
 
 BOTH_CAPS = (CheckConfig(), CheckConfig(4, 32))
 
 
-# The "decision" these gates name is the top step, which decides closure under kernels.
+# The "decision" these gates name is the step, which decides closure under kernels.
 @pytest.mark.parametrize("descriptor", ["a2", "a3", *(f"an:3:{w}" for w in AN3_WORDS),
                                         "uniserial:2", "uniserial:3", "uniserial:4"])
 def test_decision_walk_matches_ordered_walk(descriptor):
@@ -249,44 +301,6 @@ def test_decision_walk_matches_ordered_walk_an4():
     assert_top_step_matches_ordered(build_builtin("an:4"), (CheckConfig(),))
 
 
-@pytest.mark.parametrize("cfg", BOTH_CAPS)
-def test_walk_runs_only_where_the_top_step_escapes(cfg, monkeypatch):
-    escape, walked = _kernel_search._escape, []
-    monkeypatch.setattr(_kernel_search, "_escape", lambda s, c: walked.append(s) or escape(s, c))
-    for cat in (build_builtin("an:4"), build_builtin("an:4").opposite()):
-        enumerate_family(cat, "wide", "bruteforce", cfg)
-        wide = enumerate_family(cat, "wide").bitsets()
-        assert walked
-        for s in walked:
-            assert _top_step_escapes(s), s.bits
-            assert s.bits not in wide, s.bits
-        walked.clear()
-
-
-@pytest.mark.parametrize("descriptor,p", [("uniserial:4", 2), ("a3", 3)])
-def test_step_classes_are_visited_in_sorted_tuple_order(descriptor, p):
-    cat = build_builtin(descriptor, p=p)
-    enumerate_family(cat, "wide", "bruteforce", CheckConfig(4, 32))
-    pk = _packing(cat)
-    ordered = cat._closure_memo["kerstep_packed"]
-    assert any(len(classes) > 1 for classes in ordered.values())
-    for (core, b, top), classes in ordered.items():
-        surpluses = [()] if top < 0 else [mid_from_counts(dict(enumerate(c))) + (top,)
-                                           for c in product(range(3), repeat=top)]
-        for surplus in surpluses:
-            kids = [pk.unpack(kc + pk.pack(surplus)) for kc, _ in classes]
-            assert kids == sorted(kids), (core, b, surplus)
-
-
-def test_surplus_order_depends_on_its_largest_index_only():
-    """Adding a surplus reorders kernel classes only through the surplus's largest index."""
-    multisets = [mid_from_counts(dict(enumerate(c))) for c in product(range(3), repeat=3)]
-    for a, b, surplus in product(multisets, repeat=3):
-        tail = surplus[-1:]
-        plus = lambda kid, extra: tuple(sorted(kid + extra))
-        assert (plus(a, surplus) < plus(b, surplus)) == (plus(a, tail) < plus(b, tail))
-
-
 def test_verify_digests_match_recorded():
     digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
     keys = [k for k in digests if k.startswith("verify ")]
@@ -296,3 +310,12 @@ def test_verify_digests_match_recorded():
         with redirect_stdout(out):
             assert cli.main(shlex.split(key)) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+
+
+def test_verify_an5_keeps_its_stdout():
+    """The frontier: verify on an:5 (32,768 subsets per brute force) passes in seconds."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["verify", "--builtin", "an:5"]) == 0
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
+            == "cdde2a05b8e4aeee5c041f0ab4504926a8f710f635c380272f80cd39ba24fc8b")
