@@ -31,7 +31,7 @@ _EXPORTS = {
         "tors_closure", "torsion_pair_complete", "trace",
     ),
     "lattices": (
-        "KINDS", "CheckConfig", "Family", "HasseDiagram", "enumerate_family", "hasse",
+        "KINDS", "Family", "HasseDiagram", "enumerate_family", "hasse",
         "hasse_to_dot", "is_closed", "relations_report",
     ),
 }

@@ -17,15 +17,15 @@ closure condition:
   maps into a sum are iterated kernels of maps into single members, and a
   map from a member sum into X_b column-reduces (over the local
   endomorphism rings) to (v, 0) on C + R with C <= mu_b|s, at most
-  mu(i, b) copies of each X_i.  Let C_b = sum over i in s of X_i^mu(i, b),
-  the core at b of the saturated seed (saturation + 1 copies of each
-  member).  Then s is closed under kernels if and only if, for each b in
-  s, every kernel of a nonzero map C_b -> X_b lies in add s: C is a summand
-  of C_b, and ker(v, 0) on C_b is ker v + (C_b - C).  So the step reads the
-  kernel classes of the maps C_b -> X_b, member by member in index order,
-  and its first class outside s is the witness, a genuine kernel of a
-  morphism between member sums.  No configured cap enters: the only bound
-  is the Hom budget ``KERNEL_ENUM_CAP``, and a step over it raises.
+  mu(i, b) copies of each X_i.  Let C_b = mu_b|s, the core at b: the sum
+  over i in s of X_i^mu(i, b).  Then s is closed under kernels if and only
+  if, for each b in s, every kernel of a nonzero map C_b -> X_b lies in
+  add s: C is a summand of C_b, and ker(v, 0) on C_b is ker v + (C_b - C).
+  So the step reads the kernel classes of the maps C_b -> X_b, member by
+  member in index order, and its first class outside s is the witness, a
+  genuine kernel of a morphism between member sums.  No configured cap
+  enters: the only bound is the Hom budget ``KERNEL_ENUM_CAP``, and a step
+  over it raises.
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both are ranks of
@@ -241,17 +241,12 @@ def _materialized_kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozen
 # -- mu bounds ----------------------------------------------------------------------
 
 
-def _mu_tables(cat: Catalog) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The mu table and the saturation, built on the first kernel search of the catalog.
-
-    The saturation of i is its largest mu bound into any catalog member, at
-    least 1.
-    """
+def _mu_tables(cat: Catalog) -> tuple[tuple[int, ...], ...]:
+    """The mu table, mu[i][j] = _mu_bound(cat, i, j), built on the first kernel search."""
     memo = cat._closure_memo
     if "mu" not in memo:
         n = cat.n
-        mu = tuple(tuple(_mu_bound(cat, i, j) for j in range(n)) for i in range(n))
-        memo["mu"] = (mu, tuple(max(1, max(row)) for row in mu))
+        memo["mu"] = tuple(tuple(_mu_bound(cat, i, j) for j in range(n)) for i in range(n))
     return memo["mu"]
 
 
@@ -338,7 +333,7 @@ def _step_escape(s: SubcatBits) -> Optional[tuple]:
     of the first b that has one, in the order of sorted index tuples.
     """
     cat = s.catalog
-    mu = _mu_tables(cat)[0]
+    mu = _mu_tables(cat)
     steps = cat._closure_memo.setdefault("kerstep", {})
     members = s.indices()
     for b in members:

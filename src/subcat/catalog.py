@@ -97,13 +97,6 @@ def mid_from_counts(counts: dict[int, int]) -> ModuleId:
     return tuple(out)
 
 
-def mid_counts(mid: ModuleId) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for idx in mid:
-        counts[idx] = counts.get(idx, 0) + 1
-    return counts
-
-
 def mid_add(a: ModuleId, b: ModuleId) -> ModuleId:
     return tuple(sorted(a + b))
 

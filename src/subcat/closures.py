@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .catalog import Catalog, ModuleId, mid_counts
+from .catalog import Catalog, ModuleId
 from .errors import NotTorsionFree, ShapeError
 from .linalg import Mat, Subspace, _Frozen, _join, _reduced_rows, _slot_setters
 from .rep import (
@@ -99,7 +99,8 @@ class SubcatBits(_Frozen):
         return bool((self.bits >> idx) & 1)
 
     def contains_id(self, mid: ModuleId) -> bool:
-        return all(self.has(i) for i in mid_counts(mid))
+        """Is every summand of the sum ``mid`` a member."""
+        return all((self.bits >> i) & 1 for i in mid)
 
     @property
     def is_empty(self) -> bool:

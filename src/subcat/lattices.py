@@ -49,8 +49,9 @@ runs the letter checks of ``_kernel_search``, a module imported on the
 first such check: the exact extension and image tests, and for wide, ice
 and ike the kernel/cokernel step, which decides exactly and names the
 witness.  ie is thus decided by its definition, closure under images and
-extensions, and not by the theorem the lattice path uses.  No check reads
-the caps of ``CheckConfig``.
+extensions, and not by the theorem the lattice path uses.  No check takes a
+configured cap; a family's JSON keeps, as a fixed record, the
+``checker_config`` of the caps the checks once took.
 """
 
 from __future__ import annotations
@@ -77,38 +78,18 @@ INCLUSION_ARROWS = (
 )
 
 
-class CheckConfig(_Frozen):
-    """The --mult-cap/--dim-cap values, echoed in a family's ``checker_config``.
-
-    The checks are exact and read neither cap, so no result depends on
-    them; verify's ``cap-robustness`` check guards that.
-    """
-
-    __slots__ = ("mult_cap", "dim_cap")
-
-    def __init__(self, mult_cap: int = 2, dim_cap: int = 16):
-        if mult_cap < 1 or dim_cap < 1:
-            raise ShapeError("caps must be at least 1")
-        _cfg_mult_cap(self, mult_cap)
-        _cfg_dim_cap(self, dim_cap)
-
-
-_cfg_mult_cap, _cfg_dim_cap = _slot_setters(CheckConfig)
-
-
 # -- is_closed ------------------------------------------------------------------------
 
 
 _CLOSURES = {"serre": serre_closure, "tors": tors_closure, "torf": torf_closure}
 
 
-def is_closed(kind: str, s: SubcatBits, cfg: Optional[CheckConfig] = None) -> tuple[bool, Optional[str]]:
+def is_closed(kind: str, s: SubcatBits) -> tuple[bool, Optional[str]]:
     """Is the subcategory closed for the given kind; if not, why not.
 
     serre/tors/torf are decided exactly through closure operators; the
     wide/ice/ike/ie letter checks combine the exact extension and image
-    tests with, for all but ie, the kernel/cokernel step.  ``cfg`` changes
-    no answer.
+    tests with, for all but ie, the kernel/cokernel step.
     """
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
@@ -134,14 +115,12 @@ def _added_names(s: SubcatBits, closed: SubcatBits) -> str:
 class Family(_Frozen):
     """All subcategories of one kind over a catalog, sorted by (size, bitset)."""
 
-    __slots__ = ("kind", "catalog", "members", "config", "_bitsets")
+    __slots__ = ("kind", "catalog", "members", "_bitsets")
 
-    def __init__(self, kind: str, catalog: Catalog, members: tuple[SubcatBits, ...],
-                 config: Optional[CheckConfig] = None):
+    def __init__(self, kind: str, catalog: Catalog, members: tuple[SubcatBits, ...]):
         _fam_kind(self, kind)
         _fam_catalog(self, catalog)
         _fam_members(self, members)
-        _fam_config(self, CheckConfig() if config is None else config)
         _fam_bitsets(self, None)
 
     @property
@@ -162,14 +141,12 @@ class Family(_Frozen):
             "kind": self.kind,
             "count": self.count,
             "members": [list(m.names()) for m in self.members],
-            "checker_config": {
-                "mult_cap": self.config.mult_cap,
-                "dim_cap": self.config.dim_cap,
-            },
+            # the caps the checkers once took, kept so the JSON output stays byte-identical
+            "checker_config": {"mult_cap": 2, "dim_cap": 16},
         }
 
 
-_fam_kind, _fam_catalog, _fam_members, _fam_config, _fam_bitsets = _slot_setters(Family)
+_fam_kind, _fam_catalog, _fam_members, _fam_bitsets = _slot_setters(Family)
 
 
 def _sorted_members(cat: Catalog, bitsets: Iterable[int]) -> tuple[SubcatBits, ...]:
@@ -308,25 +285,23 @@ def _lattice_bitsets(cat: Catalog, kind: str) -> frozenset[int]:
     return memo[kind]
 
 
-def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto",
-                     cfg: Optional[CheckConfig] = None) -> Family:
+def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto") -> Family:
     """Enumerate all subcategories of one kind.
 
     ``auto`` derives the family exactly from the lattice tables (see the
     module docstring).  ``bruteforce`` filters all 2^n subsets through the
     checker is_closed, the oracle of ``auto``; both return identical
-    families.  ``cfg`` is echoed in the family's ``checker_config`` only.
+    families.
     """
-    cfg = cfg or CheckConfig()
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
     if strategy == "auto":
         bitsets = _lattice_bitsets(cat, kind)
     elif strategy == "bruteforce":
-        bitsets = [b for b in range(1 << cat.n) if is_closed(kind, SubcatBits(cat, b), cfg)[0]]
+        bitsets = [b for b in range(1 << cat.n) if is_closed(kind, SubcatBits(cat, b))[0]]
     else:
         raise ShapeError(f"unknown strategy {strategy!r}")
-    return Family(kind, cat, _sorted_members(cat, bitsets), cfg)
+    return Family(kind, cat, _sorted_members(cat, bitsets))
 
 
 # -- Hasse diagrams ---------------------------------------------------------------------
@@ -449,11 +424,9 @@ def algebra_is_obviously_commutative(cat: Catalog) -> bool:
     return alg.n_vertices == 1 and len(alg.arrows) <= 1
 
 
-def relations_report(cat: Catalog, cfg: Optional[CheckConfig] = None,
-                     label: str = "") -> RelationsReport:
+def relations_report(cat: Catalog, label: str = "") -> RelationsReport:
     """Enumerate every family and verify the inclusion diagram on it."""
-    cfg = cfg or CheckConfig()
-    families = {kind: enumerate_family(cat, kind, "auto", cfg) for kind in KINDS}
+    families = {kind: enumerate_family(cat, kind) for kind in KINDS}
     inclusions = []
     for a, b in INCLUSION_ARROWS:
         inclusions.append((a, b, families[a].bitsets() <= families[b].bitsets()))

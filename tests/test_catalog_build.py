@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from subcat._kernel_search import _mu_tables
 from subcat.catalog import _apply_inverse, _invert_over_rationals, build_builtin
 from subcat.closures import SubcatBits
-from subcat.lattices import KINDS, CheckConfig, enumerate_family, is_closed
+from subcat.lattices import KINDS, enumerate_family, is_closed
+
+from test_verify_oracles import saturation
 
 # -- the integer decoder against a Fraction reference ------------------------------------
 
@@ -169,14 +171,15 @@ def test_kernel_search_builds_pinned_mu_bounds(descriptor):
     cat = build_builtin(descriptor)
     assert "mu" not in cat._closure_memo
     # the first kernel step builds the whole table
-    is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1), CheckConfig(mult_cap=1, dim_cap=4))
-    assert cat._closure_memo["mu"] == (PINNED_MU[descriptor], PINNED_SATURATION[descriptor])
+    is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
+    assert cat._closure_memo["mu"] == PINNED_MU[descriptor]
     assert _mu_tables(cat) is cat._closure_memo["mu"]
+    assert saturation(cat._closure_memo["mu"]) == PINNED_SATURATION[descriptor]
 
 
 def test_concurrent_first_reads_agree():
     cat = build_builtin("uniserial:5")
     with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(lambda: _mu_tables(cat)[1]) for _ in range(4)]
-        sats = [f.result(timeout=60) for f in futures]
+        futures = [pool.submit(lambda: _mu_tables(cat)) for _ in range(4)]
+        sats = [saturation(f.result(timeout=60)) for f in futures]
     assert sats == [PINNED_SATURATION["uniserial:5"]] * 4

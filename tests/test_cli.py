@@ -249,8 +249,9 @@ def test_negative_dimension_in_module_file(a2_files, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["enumerate", "--builtin", "a2", "--format", "xml"], "argument --format: invalid choice"),
-    (["enumerate", "--builtin", "a2", "--mult-cap", "x"], "argument --mult-cap: invalid int"),
+    (["enumerate", "--builtin", "a2", "--mult-cap", "2"], "unrecognized arguments: --mult-cap 2"),
     ([], "the following arguments are required: command"),
+    (["enumerate", "--builtin", "a2", "--dim-cap", "16"], "unrecognized arguments: --dim-cap 16"),
 ])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -263,6 +264,15 @@ def test_help_still_prints_usage(capsys):
         main(["enumerate", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: subcat enumerate")
+
+
+@pytest.mark.parametrize("command", ["catalog", "closure", "enumerate", "verify"])
+def test_help_names_no_cap_flag(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: subcat {command}")
+    assert "--mult-cap" not in out and "--dim-cap" not in out
 
 
 def test_modules_without_algebra(capsys):

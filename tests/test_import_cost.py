@@ -25,9 +25,10 @@ AVOIDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
 BUILD = ["catalog", "errors", "linalg", "rep"]
 CLI = sorted(BUILD + ["closures", "lattices", "cli"])
 
-# Every public name of ``dir(subcat)`` when the package imported its modules eagerly.
+# Every public name of ``dir(subcat)`` when the package imported its modules eagerly,
+# less CheckConfig, which is deleted.
 EAGER_NAMES = (
-    "Algebra CapExceeded Catalog CatalogError ChainCertificate CheckConfig Decomposable "
+    "Algebra CapExceeded Catalog CatalogError ChainCertificate Decomposable "
     "DuplicateIso EmptyCatalog Family HasseDiagram KINDS Mat Morphism NotTorsionFree "
     "ParseError Rep ShapeError SubRep SubcatBits SubcatError Subspace TorsionPair "
     "UnknownModule all_submodules build_builtin catalog chain_certificate closures "

@@ -80,7 +80,7 @@ def test_kernel_classes_match_on_incomplete_catalog(tmp_path):
 def test_the_step_takes_mu_copies_of_each_member():
     """Of the Kronecker preprojectives, only P1 + P1 maps onto X with a kernel, P2, outside {P1, X}."""
     cat = kronecker_preprojectives(2)
-    assert _kernel_search._mu_tables(cat)[0][1][2] == 2
+    assert _kernel_search._mu_tables(cat)[1][2] == 2
     assert _kernel_search._kernel_violation(SubcatBits(cat, 0b110)) == (
         "a morphism P1 + P1 + X -> X between member sums has kernel P2 + X, outside the subcategory")
 
@@ -98,7 +98,7 @@ def step_outcome(c, s, budget):
     Members in index order, as the step takes them, reading the classes the
     unbudgeted step stored in the catalog's memo.
     """
-    mu = _kernel_search._mu_tables(c)[0]
+    mu = _kernel_search._mu_tables(c)
     for b in s.indices():
         core = tuple(i for i in s.indices() for _ in range(mu[i][b]))
         if not core:

@@ -10,7 +10,6 @@ from subcat.errors import ShapeError
 from subcat.rep import hom_basis, morphism_from_coeffs
 from subcat.lattices import (
     KINDS,
-    CheckConfig,
     Family,
     _closure_operator,
     _next_closure_enum,
@@ -295,11 +294,10 @@ def test_relations_json(a2):
 
 
 def test_cap_doubling_stable_a2(a2):
-    for k in KINDS:
-        # bruteforce runs the checks that take the caps, which must change nothing
-        strategy = "bruteforce" if k in ("wide", "ice", "ike", "ie") else "auto"
-        base = enumerate_family(a2, k, strategy, CheckConfig(2, 16)).bitsets()
-        assert enumerate_family(a2, k, strategy, CheckConfig(4, 32)).bitsets() == base, k
+    """bruteforce equals the lattice family; the checks it runs take no caps to double."""
+    for k in ("wide", "ice", "ike", "ie"):
+        brute = enumerate_family(a2, k, "bruteforce").bitsets()
+        assert brute == enumerate_family(a2, k).bitsets(), k
 
 
 def test_tors_members_pass_checker(a2, a3):

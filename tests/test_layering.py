@@ -155,7 +155,6 @@ def test_value_semantics_are_defined_once():
 
     methods = ("__eq__", "__hash__", "__repr__", "__reduce__")
     own = {cls.__name__: [m for m in methods if m in vars(cls)] for cls in _Frozen.__subclasses__()}
-    assert {"Mat", "Subspace", "Rep", "Morphism", "SubRep", "SubcatBits", "CheckConfig",
-            "Family"} <= set(own)
+    assert {"Mat", "Subspace", "Rep", "Morphism", "SubRep", "SubcatBits", "Family"} <= set(own)
     assert own.pop("Rep") == ["__hash__"]
     assert all(defined == [] for defined in own.values()), own

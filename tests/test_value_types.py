@@ -1,9 +1,9 @@
 """Value semantics of the value and record types.
 
-The slots types (Mat, Subspace, Rep, Morphism, SubRep, SubcatBits, CheckConfig,
-Family) compare and hash by value, refuse assignment, have no instance
-``__dict__`` and are never equal to a plain tuple of their fields.  Their
-fields are their public slots, recorded as ``_fields``.  The record types are
+The slots types (Mat, Subspace, Rep, Morphism, SubRep, SubcatBits, Family)
+compare and hash by value, refuse assignment, have no instance ``__dict__``
+and are never equal to a plain tuple of their fields.  Their fields are
+their public slots, recorded as ``_fields``.  The record types are
 NamedTuples.  Every repr is pinned to the text the earlier dataclass versions
 printed.
 """
@@ -20,7 +20,7 @@ from subcat.catalog import Catalog, _is_brick, build_builtin
 from subcat.cli import RunConfig
 from subcat.closures import ChainCertificate, ChainStep, SubcatBits, TorsionPair
 from subcat.errors import ShapeError
-from subcat.lattices import CheckConfig, Family, HasseDiagram, RelationsReport
+from subcat.lattices import Family, HasseDiagram, RelationsReport
 from subcat.linalg import Mat, Subspace, pack_row, rref, solve
 from subcat.rep import (Algebra, Arrow, Morphism, Relation, Rep, SubRep, flat_entries,
                         morphism_from_coeffs)
@@ -67,10 +67,8 @@ FACTORIES = {
                "ncols=1, rows=())), Subspace(ambient_dim=1, basis=Mat(p=2, nrows=0, ncols=1, "
                "rows=()))))"),
     "SubcatBits": (lambda: SubcatBits(CAT, 5), "SubcatBits(catalog=CAT, bits=5)"),
-    "CheckConfig": (lambda: CheckConfig(), "CheckConfig(mult_cap=2, dim_cap=16)"),
     "Family": (family,
-               "Family(kind='tors', catalog=CAT, members=(SubcatBits(catalog=CAT, bits=0),), "
-               "config=CheckConfig(mult_cap=2, dim_cap=16))"),
+               "Family(kind='tors', catalog=CAT, members=(SubcatBits(catalog=CAT, bits=0),))"),
     "Arrow": (lambda: Arrow("a", 0, 1), "Arrow(name='a', source=0, target=1)"),
     "Relation": (lambda: Relation("a*b", 0, 2, ((1, (0, 1)),)),
                  "Relation(label='a*b', source=0, target=2, terms=((1, (0, 1)),))"),
@@ -96,12 +94,11 @@ FACTORIES = {
                         "RelationsReport(catalog_label='a2', families={{'tors': {f}}}, "
                         "inclusions=[('serre', 'tors', True)], coincidence_groups=[['tors']], "
                         "all_pairwise_distinct=True, commutative=False, commutative_collapse=None)"),
-    "RunConfig": (lambda: RunConfig("a2", None, None, "table", CheckConfig(3, 5), False, None),
+    "RunConfig": (lambda: RunConfig("a2", None, None, "table", False, None),
                   "RunConfig(builtin='a2', algebra=None, modules=None, fmt='table', "
-                  "caps=CheckConfig(mult_cap=3, dim_cap=5), explain=False, out=None)"),
+                  "explain=False, out=None)"),
 }
-SLOTS_TYPES = ("Mat2", "Mat3", "Subspace", "Rep", "Morphism", "SubRep", "SubcatBits",
-               "CheckConfig", "Family")
+SLOTS_TYPES = ("Mat2", "Mat3", "Subspace", "Rep", "Morphism", "SubRep", "SubcatBits", "Family")
 # Their fields hold dicts or lists, so they were unhashable as dataclasses too.
 UNHASHABLE = ("RelationsReport",)
 
@@ -109,8 +106,7 @@ FIELDS = {
     "Mat2": ("p", "nrows", "ncols", "rows"), "Mat3": ("p", "nrows", "ncols", "rows"),
     "Subspace": ("ambient_dim", "basis"), "Rep": ("algebra", "dims", "mats"),
     "Morphism": ("source", "target", "comps"), "SubRep": ("ambient", "spaces"),
-    "SubcatBits": ("catalog", "bits"), "CheckConfig": ("mult_cap", "dim_cap"),
-    "Family": ("kind", "catalog", "members", "config"),
+    "SubcatBits": ("catalog", "bits"), "Family": ("kind", "catalog", "members"),
 }
 
 
@@ -178,7 +174,6 @@ def test_field_values_distinguish():
     assert Mat.from_rows(2, [[1, 0]]) != Mat.from_rows(2, [[0, 1]])
     assert Mat.from_rows(2, [[1]]) != Mat.from_rows(3, [[1]])
     assert SubcatBits(CAT, 1) != SubcatBits(Cat(), 1)
-    assert CheckConfig(2, 16) != CheckConfig(2, 17)
     assert Family("tors", CAT, ()) != Family("torf", CAT, ())
 
 
@@ -198,17 +193,13 @@ def test_subspace_still_rejects_mismatched_basis():
         Subspace(3, Mat.zeros(2, 0, 2))
 
 
-@pytest.mark.parametrize("caps", [(0, 16), (2, 0), (-1, -1)])
-def test_check_config_rejects_caps_below_one(caps):
-    with pytest.raises(ShapeError):
-        CheckConfig(*caps)
-
-
 def test_family_gets_a_fresh_default_config():
+    """Each to_json builds its own fixed checker_config, so editing one leaves the next intact."""
     a, b = Family("tors", CAT, ()), Family("tors", CAT, ())
-    assert a.config == CheckConfig() and b.config == CheckConfig()
-    assert a.config is not b.config
-    assert Family("tors", CAT, (), CheckConfig(4, 32)).config == CheckConfig(4, 32)
+    first = a.to_json()["checker_config"]
+    assert first == b.to_json()["checker_config"] == {"mult_cap": 2, "dim_cap": 16}
+    first["mult_cap"] = 4
+    assert a.to_json()["checker_config"] == {"mult_cap": 2, "dim_cap": 16}
 
 
 def test_family_bitsets_are_cached_and_outside_equality():
@@ -362,7 +353,7 @@ def mu_catalogs(p):
 def test_mu_tables_equal_the_all_subspace_filter(p):
     for d, c in mu_catalogs(p):
         mu = tuple(tuple(reference_mu_bound(c, i, j) for j in range(c.n)) for i in range(c.n))
-        assert _mu_tables(c) == (mu, tuple(max(1, max(row)) for row in mu)), d
+        assert _mu_tables(c) == mu, d
         if d == "kronecker":
             # a brick's End is the field, so every subspace of Hom out of it is a submodule
             assert mu == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
@@ -377,14 +368,14 @@ def test_mu_bounds_out_of_bricks_search_nothing(monkeypatch):
         raise AssertionError("a brick's mu bound needs no submodule search")
 
     monkeypatch.setattr(kernel_search, "_submodules", no_search)
-    assert _mu_tables(kronecker_preprojectives(31))[0] == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
+    assert _mu_tables(kronecker_preprojectives(31)) == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
 
 
 def test_a_brick_whose_end_is_bigger_than_the_field():
     cat = f2_times_f4()
     ends = cat.hom_pair_basis(1, 1)
     assert len(ends) == 2 and _is_brick(cat.indecs[1], ends)
-    assert _mu_tables(cat) == (((1, 0), (0, 1)), (1, 1))
+    assert _mu_tables(cat) == ((1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3])

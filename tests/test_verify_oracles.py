@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from subcat import _kernel_search, cli
-from subcat.catalog import build_builtin, mid_add, mid_counts, mid_from_counts
+from subcat.catalog import build_builtin, mid_add, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
 from subcat._kernel_search import (
@@ -22,7 +22,7 @@ from subcat._kernel_search import (
     _mu_tables,
     _step_escape,
 )
-from subcat.lattices import KINDS, CheckConfig, enumerate_family, is_closed
+from subcat.lattices import KINDS, enumerate_family
 from subcat.linalg import Subspace
 from subcat.rep import all_submodules, hom_basis, image, kernel, quotient, sub_to_rep
 
@@ -118,34 +118,42 @@ def test_enumeration_builds_no_oracle_memo(descriptor):
 def test_verification_builds_every_oracle_memo():
     """The names above are the keys the oracles use, so their absence proves something."""
     cat = build_builtin("a2")
-    cli.run_verification(cat, CheckConfig(), "a2")
+    cli.run_verification(cat, "a2")
     assert [m for m in ORACLE_MEMOS if m not in cat._closure_memo] == []
 
 
 # -- the kernel step against the capped tuple walk ----------------------------------------
 
 
-def reference_kernel_violation(s, cfg, dual=False):
+def saturation(mu):
+    """Per indecomposable, its largest mu bound into any catalog member, at least 1."""
+    return tuple(max(1, max(row)) for row in mu)
+
+
+def reference_kernel_violation(s, mult_cap, dim_cap, dual=False):
     """A capped walk on count vectors, with every multiset step spelled out.
 
-    From every maximal seed within the caps, it follows the kernels of maps
-    into single members: the core keeps min(count, mu) copies of each
-    indecomposable, the rest is added back to each kernel class, and each
-    count is capped at saturation + 1.  Its first escape is its witness.
+    From every maximal seed within the caps (at most ``mult_cap`` copies of
+    each member, total dimension at most ``dim_cap``), it follows the
+    kernels of maps into single members: the core keeps min(count, mu)
+    copies of each indecomposable, the rest is added back to each kernel
+    class, and each count is capped at saturation + 1.  Its first escape is
+    its witness.
 
     Kernel classes per (core, b) come from the catalog's memo, which
     test_kernel_search checks against materialized kernels.
     """
     cat = s.catalog
     classes = cat._closure_memo.setdefault("kerstep", {})
-    mu, sat = _mu_tables(cat)
-    caps = [min(cfg.mult_cap, sat[i] + 1) if s.has(i) else 0 for i in range(cat.n)]
+    mu = _mu_tables(cat)
+    sat = saturation(mu)
+    caps = [min(mult_cap, sat[i] + 1) if s.has(i) else 0 for i in range(cat.n)]
     dims = [m.total_dim for m in cat.indecs]
     seeds = set()
     for counts in product(*(range(c + 1) for c in caps)):
         used = sum(c * d for c, d in zip(counts, dims))
-        if used and used <= cfg.dim_cap and all(
-                counts[i] == caps[i] or used + dims[i] > cfg.dim_cap for i in s.indices()):
+        if used and used <= dim_cap and all(
+                counts[i] == caps[i] or used + dims[i] > dim_cap for i in s.indices()):
             seeds.add(counts)
     as_mid = lambda counts: mid_from_counts(dict(enumerate(counts)))
     columns = {b: tuple(row[b] for row in mu) for b in s.indices()}
@@ -161,7 +169,7 @@ def reference_kernel_violation(s, cfg, dual=False):
                 key = (as_mid(core), b)
                 if key not in classes:
                     classes[key] = _kernel_classes(cat, *key)
-                steps[(core, b)] = [(tuple(mid_counts(kid).get(i, 0) for i in range(cat.n)), kid)
+                steps[(core, b)] = [(tuple(kid.count(i) for i in range(cat.n)), kid)
                                     for kid in sorted(classes[key])]
             surplus = tuple(map(sub, state, core))
             for kc, kid in steps[(core, b)]:
@@ -180,9 +188,9 @@ def reference_kernel_violation(s, cfg, dual=False):
 
 
 def saturating_caps(cat):
-    """Caps whose seeds include the saturated seed: saturation + 1 copies of every member."""
-    sat = _mu_tables(cat)[1]
-    return CheckConfig(max(sat) + 1, sum((m + 1) * x.total_dim for m, x in zip(sat, cat.indecs)))
+    """(mult_cap, dim_cap) whose seeds include the saturated seed: saturation + 1 of each member."""
+    sat = saturation(_mu_tables(cat))
+    return max(sat) + 1, sum((m + 1) * x.total_dim for m, x in zip(sat, cat.indecs))
 
 
 def assert_step_witnesses_are_genuine(cat, subsets=None):
@@ -197,7 +205,7 @@ def assert_step_witnesses_are_genuine(cat, subsets=None):
         for bits in subsets or range(1, 1 << cat.n):
             s = SubcatBits(c, bits)
             text = _kernel_violation(s, dual)
-            assert (text is None) == (reference_kernel_violation(s, saturating) is None), bits
+            assert (text is None) == (reference_kernel_violation(s, *saturating) is None), bits
             if text is None:
                 continue
             core, b, kid = _step_escape(s)
@@ -231,55 +239,59 @@ def test_kernel_witnesses_match_tuple_reference_nakayama(tmp_path):
 
 @pytest.mark.parametrize("descriptor,p", [("a3", 2), ("a2", 3)])
 def test_bruteforce_at_doubled_caps_matches_tuple_reference(descriptor, p):
-    """No answer or witness depends on the caps, and at doubled caps the walk refutes as the step.
+    """The reference walk at the doubled caps (4, 32) refutes exactly where the step does.
 
-    is_closed runs on a fresh catalog at small, default and doubled caps.
+    test_lattice_path checks that bruteforce, which reads the step, equals
+    the lattice families on these catalogs.
     """
-    answers = []
-    for caps in ((1, 1), (2, 16), (4, 32)):
-        cat = build_builtin(descriptor, p=p)
-        answers.append([is_closed(kind, SubcatBits(c, bits), CheckConfig(*caps))
-                        for c in (cat, cat.opposite()) for kind in ("wide", "ice", "ike")
-                        for bits in range(1, 1 << cat.n)])
-    assert answers[0] == answers[1] == answers[2]
-    for c in (cat, cat.opposite()):  # the catalog checked at the doubled caps
+    cat = build_builtin(descriptor, p=p)
+    for c in (cat, cat.opposite()):
         for bits in range(1, 1 << cat.n):
             s = SubcatBits(c, bits)
-            walk = reference_kernel_violation(s, CheckConfig(4, 32))
+            walk = reference_kernel_violation(s, 4, 32)
             assert (_kernel_violation(s) is None) == (walk is None), bits
 
 
 @pytest.mark.parametrize("descriptor", ["a3", "an:4", "uniserial:5"])
 def test_bruteforce_at_small_caps_equals_the_lattice(descriptor):
+    """Where the reference walk at the small caps (1, 2) misses a kernel, bruteforce does not.
+
+    bruteforce takes no caps, so its wide family is the lattice family.
+    """
     cat = build_builtin(descriptor)
+    missed = [bits for bits in range(1, 1 << cat.n)
+              if _kernel_violation(SubcatBits(cat, bits)) is not None
+              and reference_kernel_violation(SubcatBits(cat, bits), 1, 2) is None]
+    assert missed
     wide = enumerate_family(cat, "wide").bitsets()
-    assert enumerate_family(cat, "wide", "bruteforce", CheckConfig(1, 2)).bitsets() == wide
+    assert enumerate_family(cat, "wide", "bruteforce").bitsets() == wide
+    assert not wide & set(missed)
 
 
-@pytest.mark.parametrize("argv", ["verify --builtin uniserial:5 --mult-cap 1 --dim-cap 2",
-                                  "verify --builtin an:4 --mult-cap 1 --dim-cap 1"])
-def test_verify_passes_at_small_caps(argv, capsys):
+# Catalogs on which a kernel walk at small caps misses refutations (see the test above).
+@pytest.mark.parametrize("argv", ["verify --builtin uniserial:5", "verify --builtin an:4"])
+def test_verify_passes(argv, capsys):
     assert cli.main(argv.split()) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and out.splitlines()[-1].startswith("RESULT: PASS"), out
 
 
-def assert_top_step_matches_ordered(cat, cfgs):
-    """Every refutation of the capped walk is one of the step.
+def assert_top_step_matches_ordered(cat, caps):
+    """Every refutation of the walk capped at each (mult_cap, dim_cap) is one of the step.
 
     At saturating caps, whose seeds include the saturated seed, the two
     refute the same subsets.
     """
     saturating = saturating_caps(cat)
-    for cfg in (*cfgs, saturating):
+    for cap in (*caps, saturating):
         for bits in range(1, 1 << cat.n):
             s = SubcatBits(cat, bits)
             step = _kernel_violation(s) is not None
-            walk = reference_kernel_violation(s, cfg) is not None
-            assert step == walk if cfg == saturating else (step or not walk), (bits, cfg)
+            walk = reference_kernel_violation(s, *cap) is not None
+            assert step == walk if cap == saturating else (step or not walk), (bits, cap)
 
 
-BOTH_CAPS = (CheckConfig(), CheckConfig(4, 32))
+BOTH_CAPS = ((2, 16), (4, 32))
 
 
 # The "decision" these gates name is the step, which decides closure under kernels.
@@ -298,7 +310,7 @@ def test_decision_walk_matches_ordered_walk_nakayama(tmp_path):
 
 
 def test_decision_walk_matches_ordered_walk_an4():
-    assert_top_step_matches_ordered(build_builtin("an:4"), (CheckConfig(),))
+    assert_top_step_matches_ordered(build_builtin("an:4"), ((2, 16),))
 
 
 def test_verify_digests_match_recorded():
