@@ -53,7 +53,7 @@ from __future__ import annotations
 from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .catalog import END_ENUM_CAP, Catalog, ModuleId, _nonunits
+from .catalog import Catalog, ModuleId, _nonunits
 from .closures import SubcatBits, _ext_rows, fac_contains, sub_contains
 from .errors import CapExceeded, UnknownModule
 from .linalg import Mat, Subspace, _combine, _join, _join_closure, _kron_rows, _reduced_rows
@@ -271,7 +271,7 @@ def _mu_bound(cat: Catalog, i: int, j: int) -> int:
     if de == 1 or de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
         return h
     src = cat.indecs[i]
-    nonunits = [coeffs for coeffs, _ in _nonunits(src, ebasis, END_ENUM_CAP, "radical")]
+    nonunits = [coeffs for coeffs, _ in _nonunits(src, ebasis, "radical")]
     rad = Subspace.span(p, de, nonunits)
     if p**rad.dim != len(nonunits) + 1:  # the non-units and 0 are not a subspace
         return h
@@ -351,16 +351,12 @@ def _step_escape(s: SubcatBits) -> Optional[tuple]:
 def _kernel_violation(s: SubcatBits, dual: bool = False) -> Optional[str]:
     """A kernel of a member-sum morphism outside the subcategory, or None.
 
-    The step decides and names the witness, memoized per subset on the
-    catalog; its errors propagate.
+    The step decides and names the witness (memo per step, not per subset); errors propagate.
     """
     if s.is_empty:
         return None
     cat = s.catalog
-    memo = cat._closure_memo.setdefault("kviol", {})
-    if s.bits not in memo:
-        memo[s.bits] = _step_escape(s)
-    hit = memo[s.bits]
+    hit = _step_escape(s)
     if hit is None:
         return None
     core, b, kid = hit

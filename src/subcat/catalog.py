@@ -84,7 +84,6 @@ from .rep import (
 ModuleId = tuple  # sorted tuple of catalog indices, with multiplicity
 
 EXT_COSET_CAP = 16
-ISO_SEARCH_CAP = 1 << 16
 END_ENUM_CAP = 1 << 16
 # Most indecomposables a builtin may have: an:10 has 55, and an:11 (66) is refused.
 BUILTIN_SIZE_CAP = 64
@@ -195,7 +194,7 @@ class Catalog:
         for i in range(n):
             for j in range(i + 1, n):
                 if profiles[i] == profiles[j]:  # isomorphic modules share their profile
-                    if is_isomorphic(self.indecs[i], self.indecs[j], ISO_SEARCH_CAP):
+                    if is_isomorphic(self.indecs[i], self.indecs[j]):
                         raise DuplicateIso(
                             f"modules {self.names[i]} and {self.names[j]} are isomorphic"
                         )
@@ -366,7 +365,7 @@ class Catalog:
         if mid is not None:
             return mid
         mid = self._decode(m.dims, prof)
-        if mid is not None and is_isomorphic(m, self.rep_of(mid), ISO_SEARCH_CAP):
+        if mid is not None and is_isomorphic(m, self.rep_of(mid)):
             return mid
         return self._identify_by_splitting(m)
 
@@ -398,13 +397,13 @@ class Catalog:
 
     def _identify_by_splitting(self, m: Rep) -> ModuleId:
         """Recursive idempotent splitting, then matching each indec summand."""
-        e = find_nontrivial_idempotent(m, END_ENUM_CAP)
+        e = find_nontrivial_idempotent(m)
         if e is not None:
             lhs, _ = sub_to_rep(image(e))
             rhs, _ = sub_to_rep(kernel(e))
             return mid_add(self._identify_by_splitting(lhs), self._identify_by_splitting(rhs))
         for k, cand in enumerate(self.indecs):
-            if cand.dims == m.dims and is_isomorphic(m, cand, ISO_SEARCH_CAP):
+            if cand.dims == m.dims and is_isomorphic(m, cand):
                 return (k,)
         raise UnknownModule(
             f"indecomposable of dimension vector {m.dims} is not in the catalog"
@@ -489,7 +488,7 @@ def _split_terms(coeff: int, path: Sequence[int], L: Rep, N: Rep, offs: Sequence
         pre = pre.mul(N.transposed(a)) if isinstance(pre, Mat) else N.transposed(a)
 
 
-def _nonunits(m: Rep, basis: Sequence[Morphism], cap: int,
+def _nonunits(m: Rep, basis: Sequence[Morphism],
               test: str) -> Iterator[tuple[tuple[int, ...], Morphism]]:
     """(coefficients, map) for each nonzero endomorphism of m that is not invertible.
 
@@ -497,12 +496,12 @@ def _nonunits(m: Rep, basis: Sequence[Morphism], cap: int,
     and the radical of the mu bounds.  It runs over ``basis`` in coefficient
     order; a map is invertible when it is at every vertex.  Nothing when
     dim End = 1, since End = k then (or m = 0, with an empty basis).  Raises
-    CapExceeded, naming the test, when p^dim End exceeds the cap.
+    CapExceeded, naming the test, when p^dim End exceeds END_ENUM_CAP.
     """
     if len(basis) == 1:
         return
     p = m.algebra.p
-    if p ** len(basis) > cap:
+    if p ** len(basis) > END_ENUM_CAP:
         raise CapExceeded(f"End space of dimension {len(basis)} exceeds {test} cap")
     for coeffs in product(range(p), repeat=len(basis)):
         if any(coeffs):
@@ -511,23 +510,23 @@ def _nonunits(m: Rep, basis: Sequence[Morphism], cap: int,
                 yield coeffs, f
 
 
-def find_nontrivial_idempotent(m: Rep, cap: int = END_ENUM_CAP) -> Optional[Morphism]:
+def find_nontrivial_idempotent(m: Rep) -> Optional[Morphism]:
     """A non-zero, non-identity idempotent endomorphism, if one exists: a non-unit e = e.e."""
-    return _idempotent(m, hom_basis(m, m), cap)
+    return _idempotent(m, hom_basis(m, m))
 
 
-def _idempotent(m: Rep, basis: Sequence[Morphism], cap: int = END_ENUM_CAP) -> Optional[Morphism]:
-    return next((e for _, e in _nonunits(m, basis, cap, "idempotent search")
+def _idempotent(m: Rep, basis: Sequence[Morphism]) -> Optional[Morphism]:
+    return next((e for _, e in _nonunits(m, basis, "idempotent search")
                  if e.compose(e) == e), None)
 
 
-def is_brick(m: Rep, cap: int = END_ENUM_CAP) -> bool:
+def is_brick(m: Rep) -> bool:
     """Is End(m) a division ring: is m nonzero with no nonzero non-unit endomorphism?"""
-    return _is_brick(m, hom_basis(m, m), cap)
+    return _is_brick(m, hom_basis(m, m))
 
 
-def _is_brick(m: Rep, basis: Sequence[Morphism], cap: int = END_ENUM_CAP) -> bool:
-    return bool(basis) and next(_nonunits(m, basis, cap, "brick test"), None) is None
+def _is_brick(m: Rep, basis: Sequence[Morphism]) -> bool:
+    return bool(basis) and next(_nonunits(m, basis, "brick test"), None) is None
 
 
 def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
@@ -548,8 +547,8 @@ def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[tuple[list
         top = aug[col]
         pk = top[col]
         for i in range(n):
-            if i != col:
-                c = aug[i][col]
+            c = aug[i][col]
+            if i != col and (c or pk != d):  # else the update is the identity
                 aug[i] = [(pk * x - c * y) // d for x, y in zip(aug[i], top)]
         d = pk
     g = gcd(d, *(x for row in aug for x in row[n:]))

@@ -8,7 +8,6 @@ checks are exact and read no configuration.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import NamedTuple, Optional
 
@@ -209,6 +208,8 @@ def run_verification(cat: Catalog, label: str = "") -> list[tuple[str, bool, str
 
     subsets = list(range(1 << cat.n))
     if len(subsets) > 256:
+        import random
+
         rng = random.Random(2**cat.n)
         subsets = sorted(rng.sample(subsets, 128))
     for kind, closure_op, member_pred in (

@@ -46,11 +46,9 @@ from .rep import (
     Rep,
     SubRep,
     all_submodules,
-    check_submodule_cap,
     hom_basis,
     quotient,
     sub_to_rep,
-    SUBMODULE_DIM_CAP,
 )
 
 
@@ -340,25 +338,24 @@ def _module_key(cat: Catalog, m: Rep) -> tuple:
     return memo[m]
 
 
-def _splits(cat: Catalog, m: Rep, cap: int) -> list[tuple[Rep, Rep]]:
+def _splits(cat: Catalog, m: Rep) -> list[tuple[Rep, Rep]]:
     """(layer, quotient) per nonzero proper submodule, in all_submodules order.
 
-    Memoized per catalog on the module value; the cap is checked on every
-    call, so a cached list never bypasses a smaller cap.
+    Memoized per catalog on the module value; a module over the caps of
+    all_submodules raises there, before anything is cached.
     """
-    check_submodule_cap(m, cap)
     memo = cat._closure_memo.setdefault("filt_splits", {})
     if m not in memo:
         memo[m] = [
             (sub_to_rep(s)[0], quotient(m, s)[0])
-            for s in all_submodules(m, cap)
+            for s in all_submodules(m)
             if not (s.is_zero or s.is_full)
         ]
     return memo[m]
 
 
 def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
-                  cap: int = SUBMODULE_DIM_CAP, _memo: Optional[dict] = None) -> bool:
+                  _memo: Optional[dict] = None) -> bool:
     """Does x have a finite filtration whose layers satisfy pred?
 
     Literal filtration search over all submodules: true when x is zero, when
@@ -366,7 +363,7 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
     the quotient recursively passes.  pred must be isomorphism-invariant;
     results are memoized per call on the (dimension vector, Hom profile)
     key.  The keys and the submodule splits are pred-independent and cached
-    on the catalog.
+    on the catalog; splitting a module over the caps of all_submodules raises.
     """
     if _memo is None:
         _memo = {}
@@ -377,8 +374,8 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
         return _memo[key]
     _memo[key] = False  # cycle guard; dimensions strictly decrease anyway
     result = True if pred(x) else any(
-        pred(layer) and filt_contains(cat, pred, rest, cap, _memo)
-        for layer, rest in _splits(cat, x, cap)
+        pred(layer) and filt_contains(cat, pred, rest, _memo)
+        for layer, rest in _splits(cat, x)
     )
     _memo[key] = result
     return result
@@ -392,7 +389,7 @@ def _subquotient_mask(cat: Catalog, i: int) -> int:
     memo = cat._closure_memo.setdefault("subquotients", {})
     if i not in memo:
         found = {i}
-        for layer, rest in _splits(cat, cat.indecs[i], SUBMODULE_DIM_CAP):
+        for layer, rest in _splits(cat, cat.indecs[i]):
             found.update(cat.identify(layer) + cat.identify(rest))
         memo[i] = sum(1 << k for k in found)
     return memo[i]

@@ -12,7 +12,7 @@ class ShapeError(SubcatError, ValueError):
 
 
 class CapExceeded(SubcatError, RuntimeError):
-    """A configured enumeration bound would be exceeded.
+    """A bounded search would exceed its module constant (the README lists each).
 
     Raised instead of silently truncating a search; `detail` names the
     offending quantity and its value.

@@ -31,6 +31,7 @@ SUBMODULE_DIM_CAP = 12
 # Lines of F_p^d enumerated per vertex by all_submodules; 2^12 - 1 is a
 # 12-dimensional vertex over F_2, the largest the dimension cap admits.
 SUBMODULE_LINE_BUDGET = 1 << 12
+ISO_SEARCH_CAP = 1 << 16
 
 
 class Arrow(NamedTuple):
@@ -495,27 +496,22 @@ def generated_submodule(m: Rep, generators: Iterable[tuple[int, Sequence[int]]])
     return SubRep(m, tuple(spaces))
 
 
-def check_submodule_cap(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> None:
-    """Raise CapExceeded when m is too large for submodule enumeration."""
-    if m.total_dim > cap:
-        raise CapExceeded(f"total dimension {m.total_dim} exceeds submodule cap {cap}")
-
-
 def _lines(p: int, d: int) -> Iterator[tuple[int, ...]]:
     """One generator per line of F_p^d: the vectors whose first nonzero entry is 1."""
     return ((0,) * lead + (1,) + rest
             for lead in range(d) for rest in product(range(p), repeat=d - 1 - lead))
 
 
-def all_submodules(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> list[SubRep]:
+def all_submodules(m: Rep) -> list[SubRep]:
     """Every arrow-stable subspace tuple, as the join closure of cyclic subs (``_join_closure``).
 
     Complete because each submodule is the join of the cyclic submodules of
     its vectors, and v and c*v generate the same one, so one vector per line
-    suffices.  Raises CapExceeded above the configured total dimension, and
-    when a vertex has more than SUBMODULE_LINE_BUDGET lines.
+    suffices.  Raises CapExceeded above a total dimension of SUBMODULE_DIM_CAP,
+    and when a vertex has more than SUBMODULE_LINE_BUDGET lines.
     """
-    check_submodule_cap(m, cap)
+    if m.total_dim > SUBMODULE_DIM_CAP:
+        raise CapExceeded(f"total dimension {m.total_dim} exceeds submodule cap {SUBMODULE_DIM_CAP}")
     p = m.algebra.p
     for v, d in enumerate(m.dims):
         lines = (p ** d - 1) // (p - 1)
@@ -535,12 +531,12 @@ def all_submodules(m: Rep, cap: int = SUBMODULE_DIM_CAP) -> list[SubRep]:
 # -- isomorphism -----------------------------------------------------------------
 
 
-def is_isomorphic(m: Rep, n: Rep, max_candidates: int = 1 << 16) -> bool:
+def is_isomorphic(m: Rep, n: Rep) -> bool:
     """Search the Hom space for a vertexwise-invertible morphism.
 
     f is invertible exactly when c*f is, so one coefficient vector per line
     is tried; raises CapExceeded when those (p^h - 1)/(p - 1) candidates,
-    h = dim Hom(m, n), exceed max_candidates.
+    h = dim Hom(m, n), exceed ISO_SEARCH_CAP.
     """
     if m.algebra != n.algebra:
         raise ShapeError("representations over different algebras")
@@ -550,7 +546,7 @@ def is_isomorphic(m: Rep, n: Rep, max_candidates: int = 1 << 16) -> bool:
         return True
     basis = hom_basis(m, n)
     p = m.algebra.p
-    if (p ** len(basis) - 1) // (p - 1) > max_candidates:
+    if (p ** len(basis) - 1) // (p - 1) > ISO_SEARCH_CAP:
         raise CapExceeded(f"Hom space of dimension {len(basis)} exceeds isomorphism search cap")
     for coeffs in _lines(p, len(basis)):
         f = morphism_from_coeffs(basis, coeffs, m, n)

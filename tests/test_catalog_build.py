@@ -117,6 +117,18 @@ def test_inverse_matches_fraction_reference_on_hom_matrices(descriptor):
     assert_inverse_matches(hom_matrix(descriptor))
 
 
+@pytest.mark.parametrize("rows", [
+    ((2, 1), (1, 1)),  # pivots 2 then 1
+    ((2, 0), (1, 1)),  # pivots 2 then 2: a zero entry over an equal pivot is left alone
+    ((2, 0), (0, 3)),  # a row with a zero entry at the new pivot 6 is still rescaled by 6 / 2
+    ((2, 0, 0), (1, 1, 0), (0, 0, 3)),
+    ((-1, 0), (0, 1)),
+])
+def test_inverse_matches_fraction_reference_off_unit_pivots(rows):
+    """Bareiss pivots other than +-1, where a row with a zero entry may still need its update."""
+    assert_inverse_matches(rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))

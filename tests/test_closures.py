@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcat import closures
+from subcat import closures, rep
 from subcat.catalog import build_builtin
 from subcat.closures import (
     ChainCertificate,
@@ -268,7 +268,7 @@ def test_serre_cap_error_names_the_first_member_over_the_cap(monkeypatch, names,
 
     So {M1, M3, M6} reaches M4 through extensions of M1 and M2 before it visits M6.
     """
-    monkeypatch.setattr(closures, "SUBMODULE_DIM_CAP", 3)
+    monkeypatch.setattr(rep, "SUBMODULE_DIM_CAP", 3)
     cat = build_builtin("uniserial:6")
     with pytest.raises(CapExceeded, match=f"^total dimension {dim} exceeds submodule cap 3$"):
         serre_closure(SubcatBits.from_names(cat, names))

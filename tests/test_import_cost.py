@@ -18,8 +18,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # dataclasses brings inspect, ast, dis and tokenize; json is only needed for
-# JSON input and output.
-AVOIDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+# JSON input and output, and random only for verify's subset sample past n = 8.
+AVOIDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "random")
 
 # The build layers, and the five layers perfbench/tracer.py reads after ``import subcat.cli``.
 BUILD = ["catalog", "errors", "linalg", "rep"]

@@ -172,7 +172,7 @@ def test_uniserial_m2_is_not_a_brick():
     assert not is_brick(m2)
 
 
-def test_endomorphism_walk_readers_on_edge_cases():
+def test_endomorphism_walk_readers_on_edge_cases(monkeypatch):
     """The zero module, a split sum X + X, and both cap messages of the one End walk."""
     cat = build_builtin("uniserial:2")
     zero = Rep.zero(cat.algebra)
@@ -180,7 +180,8 @@ def test_endomorphism_walk_readers_on_edge_cases():
     split = rep.direct_sum(cat.algebra, [cat.indecs[1], cat.indecs[1]]).rep
     e = find_nontrivial_idempotent(split)
     assert e is not None and e.compose(e) == e and not is_brick(split)
+    monkeypatch.setattr(catalog, "END_ENUM_CAP", 3)
     with pytest.raises(CapExceeded, match="End space of dimension 2 exceeds brick test cap"):
-        is_brick(cat.indecs[1], cap=3)
+        is_brick(cat.indecs[1])
     with pytest.raises(CapExceeded, match="exceeds idempotent search cap"):
-        find_nontrivial_idempotent(split, cap=3)
+        find_nontrivial_idempotent(split)

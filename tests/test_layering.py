@@ -53,9 +53,9 @@ def test_one_endomorphism_walk(monkeypatch):
 
     walk, seen = catalog._nonunits, []
 
-    def recording(m, basis, cap, test):
+    def recording(m, basis, test):
         seen.append(test)
-        return walk(m, basis, cap, test)
+        return walk(m, basis, test)
 
     monkeypatch.setattr(catalog, "_nonunits", recording)
     monkeypatch.setattr(_kernel_search, "_nonunits", recording)
@@ -158,3 +158,38 @@ def test_value_semantics_are_defined_once():
     assert {"Mat", "Subspace", "Rep", "Morphism", "SubRep", "SubcatBits", "Family"} <= set(own)
     assert own.pop("Rep") == ["__hash__"]
     assert all(defined == [] for defined in own.values()), own
+
+
+def test_no_search_takes_a_bound():
+    """Each bounded search reads its module constant; a test lowers one by monkeypatching it."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    from subcat import rep
+
+    def functions(mod):
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "__func__", attr)
+                    if inspect.isfunction(attr) and attr.__module__ == mod.__name__:
+                        yield attr
+
+    seen, bounded = set(), []
+    for info in pkgutil.iter_modules(subcat.__path__):
+        mod = importlib.import_module(f"subcat.{info.name}")
+        for fn in functions(mod):
+            seen.add(f"{info.name}.{fn.__qualname__}")
+            bounded += [f"{info.name}.{fn.__qualname__}({name})"
+                        for name in inspect.signature(fn).parameters
+                        if name in ("cap", "max_candidates")]
+    assert {"rep.all_submodules", "rep.is_isomorphic", "catalog._nonunits", "catalog.is_brick",
+            "catalog.Catalog.identify", "closures._splits", "closures.filt_contains",
+            "_kernel_search._kernel_violation"} <= seen
+    assert bounded == []
+    assert not hasattr(rep, "check_submodule_cap")

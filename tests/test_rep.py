@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from subcat import rep
 from subcat.errors import CapExceeded, ShapeError
 from subcat.linalg import Mat, Subspace, rref
 from subcat.rep import (
@@ -356,13 +357,15 @@ def test_iso_detects_base_change():
     assert is_isomorphic(twisted, jordan(LOOP3, 2))
 
 
-def test_iso_search_tries_one_scalar_class():
+def test_iso_search_tries_one_scalar_class(monkeypatch):
     """Over F_1000003, a one-dimensional Hom space is one candidate, not 10^6."""
     big_field = Algebra.build(1000003, ["1"], [])
     simple = Rep(big_field, (1,), ())
-    assert is_isomorphic(simple, simple, max_candidates=1)
     twisted = Rep(LOOP2_F3, (2,), (Mat.from_rows(3, [[0, 0], [2, 0]]),))
     plain = Rep(LOOP2_F3, (2,), (Mat.from_rows(3, [[0, 0], [1, 0]]),))
     assert is_isomorphic(twisted, plain)
+    monkeypatch.setattr(rep, "ISO_SEARCH_CAP", 1)
+    assert is_isomorphic(simple, simple)
+    monkeypatch.setattr(rep, "ISO_SEARCH_CAP", 3)
     with pytest.raises(CapExceeded):
-        is_isomorphic(twisted, plain, max_candidates=3)
+        is_isomorphic(twisted, plain)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from subcat import _kernel_search, cli
+from subcat import _kernel_search, cli, rep
 from subcat.catalog import build_builtin, mid_add, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
@@ -93,17 +93,18 @@ def test_filtration_search_matches_literal_search_nakayama(tmp_path):
     assert_filt_matches_literal(cat)
 
 
-def test_cached_splits_still_check_a_smaller_cap():
+def test_splits_over_the_cap_raise_on_every_call_and_cache_nothing(monkeypatch):
+    monkeypatch.setattr(rep, "SUBMODULE_DIM_CAP", 1)
     cat = build_builtin("a2")
     b = cat.index_of("B")
-    assert not filt_contains(cat, lambda x: False, cat.indecs[b])
-    assert cat._closure_memo["filt_splits"]
-    with pytest.raises(CapExceeded, match="exceeds submodule cap 1"):
-        filt_contains(cat, lambda x: False, cat.indecs[b], cap=1)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="^total dimension 2 exceeds submodule cap 1$"):
+            filt_contains(cat, lambda x: False, cat.indecs[b])
+    assert cat._closure_memo["filt_splits"] == {}
 
 
 ORACLE_MEMOS = ("filt_keys", "filt_splits", ("layer", "tors"), ("layer", "torf"),
-                "sub_classes", "quotient_classes", "kviol", "kerstep",
+                "sub_classes", "quotient_classes", "kerstep",
                 "mu", "subquotients")
 
 
