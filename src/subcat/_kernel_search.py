@@ -40,12 +40,13 @@ closure condition:
 * cokernels: the kernel step on the opposite catalog.
 
 The mu bounds, which cap the copies of each indecomposable in the kernel
-step, serve only this step: they are built on its first use and
-memoized on the catalog, so enumeration never builds them.  Each bound
-reads the End(X_i)-submodules of Hom(X_i, X_j), grown as joins of cyclic
-submodules from 0 (``_join_closure``) rather than filtered out of every
-subspace; End acts on coordinates read at the pivot columns of the reduced
-row-echelon Hom basis, with no linear solve.
+step, serve only this step: each is computed when a step first reads its
+pair and memoized on the catalog, so enumeration never builds them.  mu(i,
+j) is read off the same composition table: the joins of the pair's images
+are the End(X_i)-submodules of Hom(X_i, X_j), and the depth of their join
+closure from 0 (``_join_closure``) is the largest generator count, with no
+End-ring arithmetic and no fallback.  Building a pair's table checks its
+p^dim Hom against ``KERNEL_ENUM_CAP`` first.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from __future__ import annotations
 from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .catalog import Catalog, ModuleId, _nonunits
+from .catalog import Catalog, ModuleId
 from .closures import SubcatBits, _ext_rows, fac_contains, sub_contains
 from .errors import CapExceeded, UnknownModule
-from .linalg import Mat, Subspace, _combine, _join, _join_closure, _kron_rows, _reduced_rows
-from .rep import _lines, direct_sum, flat_entries, kernel, morphism_from_coeffs
+from .linalg import _combine, _join, _join_closure, _kron_rows, _reduced_rows
+from .rep import direct_sum, flat_entries, kernel, morphism_from_coeffs
 
 if TYPE_CHECKING:
     from .rep import Morphism, Rep
@@ -146,12 +147,19 @@ def _pair_images(cat: Catalog, i: int, j: int) -> tuple[tuple, tuple]:
     of g_t at x; at member k they are the basis f of Hom(X_k, X_i), mapped to
     the packed entries of g_t∘f in Hom(X_k, X_j) (``_composites``).  The
     images come with the zero image first, one per distinct span tuple over
-    all g in Hom(X_i, X_j).
+    all g in Hom(X_i, X_j).  Raises CapExceeded before enumerating the p^h
+    maps when that exceeds KERNEL_ENUM_CAP; a core holding X_i could not
+    pass the step's own p^dim check then.
     """
     memo = cat._closure_memo.setdefault("pair_images", {})
     if (i, j) not in memo:
         p = cat.algebra.p
         gs = cat.hom_pair_basis(i, j)
+        if p ** len(gs) > KERNEL_ENUM_CAP:
+            raise CapExceeded(
+                f"Hom({cat.names[i]}, {cat.names[j]}) of dimension {len(gs)} "
+                f"exceeds the kernel search budget"
+            )
         columns = [[c.transpose().rows for c in g.comps] for g in gs]
         flats = [flat_entries(g) for g in gs]
         table = tuple(
@@ -241,84 +249,29 @@ def _materialized_kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozen
 # -- mu bounds ----------------------------------------------------------------------
 
 
-def _mu_tables(cat: Catalog) -> tuple[tuple[int, ...], ...]:
-    """The mu table, mu[i][j] = _mu_bound(cat, i, j), built on the first kernel search."""
-    memo = cat._closure_memo
-    if "mu" not in memo:
-        n = cat.n
-        memo["mu"] = tuple(tuple(_mu_bound(cat, i, j) for j in range(n)) for i in range(n))
-    return memo["mu"]
-
-
 def _mu_bound(cat: Catalog, i: int, j: int) -> int:
-    """How many copies of indec_i a morphism into indec_j can need.
+    """How many copies of indec_i a morphism into indec_j can need, memoized per pair.
 
-    Any map from indec_i^m into indec_j can be column-reduced by an
-    automorphism of the source so that at most mu copies act nontrivially,
-    where mu bounds the generator count of every End(indec_i)-submodule of
-    Hom(indec_i, indec_j).  dim Hom is always a safe fallback.
-
-    End acts on coordinate rows over the Hom basis (``_end_actions``).
+    A map from X_i^m into X_j column-reduces, by an automorphism of the
+    source, so that at most mu copies act nontrivially, where mu is the
+    largest generator count of an End(X_i)-submodule of Hom(X_i, X_j).  At
+    the member probe X_i the image of g is g∘End(X_i), the cyclic submodule
+    g generates, and every other probe's span is that submodule composed
+    with Hom(probe, X_i); so a join of images is fixed by the sum of their
+    cyclic submodules, and ``_join_closure``, grown from the zero image one
+    image at a time, first reaches a submodule W after as many steps as W
+    needs generators.  mu is the depth of that closure.  When dim Hom <= 1,
+    or End = k and every subspace is a submodule, mu is dim Hom.
     """
-    homs = cat.hom_pair_basis(i, j)
-    h = len(homs)
-    if h <= 1:
-        return h
-    p = cat.algebra.p
-    ebasis = cat.hom_pair_basis(i, i)
-    de = len(ebasis)
-    # de == 1: End is the field, so every subspace is a submodule and mu = h
-    if de == 1 or de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
-        return h
-    src = cat.indecs[i]
-    nonunits = [coeffs for coeffs, _ in _nonunits(src, ebasis, "radical")]
-    rad = Subspace.span(p, de, nonunits)
-    if p**rad.dim != len(nonunits) + 1:  # the non-units and 0 are not a subspace
-        return h
-    residue_dim = de - rad.dim
-    rad_actions = _end_actions(p, homs, [
-        morphism_from_coeffs(ebasis, rad.basis.row_entries(r), src, src) for r in range(rad.dim)])
-    best = 1
-    for w in _submodules(p, h, _end_actions(p, homs, ebasis)):
-        if not w:
-            continue
-        wmat = Mat(p, len(w), h, w)
-        over = len(w) - len(_reduced_rows(p, [v for act in rad_actions
-                                               for v in wmat.mul(act).rows]))
-        if over % residue_dim:
-            return h
-        best = max(best, over // residue_dim)
-    return best
-
-
-def _end_actions(p: int, homs: Sequence[Morphism], ends: Sequence[Morphism]) -> list[Mat]:
-    """The right actions g -> g.e on the span of ``homs``, one matrix per e, in coordinates.
-
-    Row t holds the coordinates of homs[t].e.  A Hom basis is in reduced
-    row-echelon form over the flat entries of its maps, so those are the
-    entries of homs[t].e at the basis's pivot columns, with no solve.
-    """
-    pivots = [next(k for k, x in enumerate(flat_entries(g)) if x) for g in homs]
-    return [Mat.from_rows(p, [[row[k] for k in pivots]
-                              for row in (flat_entries(g.compose(e)) for g in homs)],
-                          ncols=len(homs))
-            for e in ends]
-
-
-def _submodules(p: int, h: int, actions: Sequence[Mat]) -> list[tuple]:
-    """Every submodule of F_p^h under the algebra spanned by ``actions``, as RREF rows.
-
-    The actions act on the right of row vectors, and their span contains the
-    identity, so the cyclic submodule of v is the span of the v.a.  Each
-    submodule is the join of the cyclic submodules of its vectors, and v and
-    c*v generate the same one, so ``_join_closure`` grows the joins from 0 by
-    the cyclic submodules of one vector per line.
-    """
-    cyclic = {}
-    for v in _lines(p, h):
-        row = Mat.from_rows(p, [v], h)
-        cyclic[(_reduced_rows(p, [row.mul(act).rows[0] for act in actions]),)] = None
-    return [w for (w,) in _join_closure(p, ((),), cyclic)]
+    memo = cat._closure_memo.setdefault("mu", {})
+    if (i, j) not in memo:
+        h = cat.hom_dims[i][j]
+        if h <= 1 or cat.hom_dims[i][i] == 1:
+            memo[(i, j)] = h
+        else:
+            _, images = _pair_images(cat, i, j)
+            memo[(i, j)] = max(_join_closure(cat.algebra.p, images[0], images).values())
+    return memo[(i, j)]
 
 
 # -- the kernel step ----------------------------------------------------------------------
@@ -333,11 +286,10 @@ def _step_escape(s: SubcatBits) -> Optional[tuple]:
     of the first b that has one, in the order of sorted index tuples.
     """
     cat = s.catalog
-    mu = _mu_tables(cat)
     steps = cat._closure_memo.setdefault("kerstep", {})
     members = s.indices()
     for b in members:
-        core = tuple(i for i in members for _ in range(mu[i][b]))
+        core = tuple(i for i in members for _ in range(_mu_bound(cat, i, b)))
         if not core:
             continue
         if (core, b) not in steps:

@@ -492,11 +492,11 @@ def _nonunits(m: Rep, basis: Sequence[Morphism],
               test: str) -> Iterator[tuple[tuple[int, ...], Morphism]]:
     """(coefficients, map) for each nonzero endomorphism of m that is not invertible.
 
-    The one walk over End(m), behind the idempotent search, the brick test
-    and the radical of the mu bounds.  It runs over ``basis`` in coefficient
-    order; a map is invertible when it is at every vertex.  Nothing when
-    dim End = 1, since End = k then (or m = 0, with an empty basis).  Raises
-    CapExceeded, naming the test, when p^dim End exceeds END_ENUM_CAP.
+    The one walk over End(m), behind the idempotent search and the brick
+    test.  It runs over ``basis`` in coefficient order; a map is invertible
+    when it is at every vertex.  Nothing when dim End = 1, since End = k then
+    (or m = 0, with an empty basis).  Raises CapExceeded, naming the test,
+    when p^dim End exceeds END_ENUM_CAP.
     """
     if len(basis) == 1:
         return

@@ -141,16 +141,16 @@ def cmd_catalog(cfg: RunConfig) -> int:
 
 
 def cmd_closure(cfg: RunConfig, kind: str, set_arg: str) -> int:
+    if kind not in _CLOSURES:
+        raise ParseError(f"closure kind must be one of {sorted(_CLOSURES)}, got {kind!r}")
+    if cfg.explain and kind == "serre":
+        raise ParseError("--explain is only available for tors and torf closures")
     cat, _ = cfg.load()
     names = [n.strip() for n in set_arg.split(",") if n.strip()] if set_arg else []
     start = SubcatBits.from_names(cat, names)
-    if kind not in _CLOSURES:
-        raise ParseError(f"closure kind must be one of {sorted(_CLOSURES)}, got {kind!r}")
     closed = _CLOSURES[kind](start)
     certificates = []
     if cfg.explain:
-        if kind == "serre":
-            raise ParseError("--explain is only available for tors and torf closures")
         certificates = [chain_certificate(start, k, kind) for k in closed.indices()]
     if cfg.fmt == "json":
         payload = {
@@ -206,7 +206,7 @@ def run_verification(cat: Catalog, label: str = "") -> list[tuple[str, bool, str
     report = relations_report(cat, label=label)
     families = report.families
 
-    subsets = list(range(1 << cat.n))
+    subsets = range(1 << cat.n)
     if len(subsets) > 256:
         import random
 

@@ -13,7 +13,9 @@ basis of the span, which ``rref``, ``Subspace`` and the kernel oracle's image
 spans share.  ``_join`` joins tuples of such bases partwise: the kernel
 oracle's image spans and the traces and rejects of ``closures`` are built
 this way.  ``_join_closure`` grows every join of some generators from zero,
-for the submodule lattices.
+breadth first, with the depth at which it first reaches each: the submodule
+lattice of ``rep.all_submodules``, and the mu bounds of the kernel oracle,
+which read the depth as a generator count.
 Everything is an immutable value.
 """
 
@@ -118,23 +120,26 @@ def _join(p: int, a: tuple, c: tuple) -> tuple:
     return tuple(_reduced_rows(p, x + y) if y else x for x, y in zip(a, c))
 
 
-def _join_closure(p: int, zero: tuple, gens: Collection[tuple]) -> list[tuple]:
+def _join_closure(p: int, zero: tuple, gens: Collection[tuple]) -> dict[tuple, int]:
     """Every join of some of the span tuples ``gens``, grown breadth first from ``zero``.
 
-    ``zero`` comes first, then each join in the order the search finds it.
+    Maps each join to its depth, the fewest generators that reach it:
+    ``zero`` first at depth 0, then each join in the order the search finds it.
     """
-    found = {zero: None}
+    found = {zero: 0}
     frontier = [zero]
+    depth = 0
     while frontier:
+        depth += 1
         nxt = []
         for w in frontier:
             for c in gens:
                 joined = _join(p, w, c)
                 if joined not in found:
-                    found[joined] = None
+                    found[joined] = depth
                     nxt.append(joined)
         frontier = nxt
-    return list(found)
+    return found
 
 
 def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):

@@ -522,8 +522,8 @@ def all_submodules(m: Rep) -> list[SubRep]:
             )
     cyclic = {generated_submodule(m, [(v, vec)]).key(): None
               for v, d in enumerate(m.dims) for vec in _lines(p, d)}
-    keys = _join_closure(p, SubRep.zero(m).key(), cyclic)
-    keys.sort(key=lambda k: (tuple(map(len, k)), k))
+    keys = sorted(_join_closure(p, SubRep.zero(m).key(), cyclic),
+                  key=lambda k: (tuple(map(len, k)), k))
     return [SubRep(m, tuple(Subspace(d, Mat(p, len(rows), d, rows)) for d, rows in zip(m.dims, k)))
             for k in keys]
 

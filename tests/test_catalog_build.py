@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcat._kernel_search import _mu_tables
 from subcat.catalog import _apply_inverse, _invert_over_rationals, build_builtin
 from subcat.closures import SubcatBits
 from subcat.lattices import KINDS, enumerate_family, is_closed
 
+from test_kernel_search import mu_table
 from test_verify_oracles import saturation
 
 # -- the integer decoder against a Fraction reference ------------------------------------
@@ -182,16 +182,16 @@ def test_enumeration_never_builds_mu_bounds():
 def test_kernel_search_builds_pinned_mu_bounds(descriptor):
     cat = build_builtin(descriptor)
     assert "mu" not in cat._closure_memo
-    # the first kernel step builds the whole table
+    # the first kernel step reads the bounds of its pairs, one pair at a time
     is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
-    assert cat._closure_memo["mu"] == PINNED_MU[descriptor]
-    assert _mu_tables(cat) is cat._closure_memo["mu"]
-    assert saturation(cat._closure_memo["mu"]) == PINNED_SATURATION[descriptor]
+    assert cat._closure_memo["mu"]
+    assert mu_table(cat) == PINNED_MU[descriptor]
+    assert saturation(mu_table(cat)) == PINNED_SATURATION[descriptor]
 
 
 def test_concurrent_first_reads_agree():
     cat = build_builtin("uniserial:5")
     with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(lambda: _mu_tables(cat)) for _ in range(4)]
+        futures = [pool.submit(lambda: mu_table(cat)) for _ in range(4)]
         sats = [saturation(f.result(timeout=60)) for f in futures]
     assert sats == [PINNED_SATURATION["uniserial:5"]] * 4

@@ -86,6 +86,22 @@ def test_closure_unknown_name(capsys):
     assert "unknown module name" in err
 
 
+@pytest.mark.parametrize("kind,message", [
+    ("serre", "--explain is only available for tors and torf closures"),
+    ("wide", "closure kind must be one of ['serre', 'torf', 'tors'], got 'wide'"),
+])
+def test_closure_arguments_are_refused_before_building(monkeypatch, capsys, kind, message):
+    """Without the check first, the Serre closure of M20 exits 3 over the submodule cap."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder was called")
+
+    monkeypatch.setattr(catalog, "_build_uniserial", refuse)
+    code, out, err = run(capsys, "closure", "--builtin", "uniserial:20", "--kind", kind,
+                         "--set", "M20", "--explain")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # -- enumerate ----------------------------------------------------------------------
 
 

@@ -30,6 +30,12 @@ def reference_classes(cat, core, b):
     )
 
 
+def mu_table(cat):
+    """mu[i][j] = _mu_bound(cat, i, j) over every pair; the kernel step reads them one at a time."""
+    return tuple(tuple(_kernel_search._mu_bound(cat, i, j) for j in range(cat.n))
+                 for i in range(cat.n))
+
+
 def searched_catalogs(cat):
     """The catalog, its opposite and the opposite's opposite, after wide brute force on both."""
     op = cat.opposite()
@@ -80,9 +86,31 @@ def test_kernel_classes_match_on_incomplete_catalog(tmp_path):
 def test_the_step_takes_mu_copies_of_each_member():
     """Of the Kronecker preprojectives, only P1 + P1 maps onto X with a kernel, P2, outside {P1, X}."""
     cat = kronecker_preprojectives(2)
-    assert _kernel_search._mu_tables(cat)[1][2] == 2
+    assert _kernel_search._mu_bound(cat, 1, 2) == 2
     assert _kernel_search._kernel_violation(SubcatBits(cat, 0b110)) == (
         "a morphism P1 + P1 + X -> X between member sums has kernel P2 + X, outside the subcategory")
+
+
+@pytest.mark.parametrize("descriptor,p", [("uniserial:6", 2), ("uniserial:8", 2), ("uniserial:6", 3)])
+def test_every_hom_between_uniserials_needs_one_copy(descriptor, p):
+    """Hom(M_i, M_j) is cyclic over End(M_i), so each mu bound is 1."""
+    cat = build_builtin(descriptor, p=p)
+    assert mu_table(cat) == ((1,) * cat.n,) * cat.n
+
+
+def test_over_the_budget_raises_before_enumerating():
+    """On uniserial:17, the full-set step and the pair (M17, M17) both exceed 2^16 maps.
+
+    The full-set core into M1 holds every member once, 2^17 maps; Hom(M17, M17)
+    alone has 2^17.  Neither enumerates anything before it raises.
+    """
+    cat = build_builtin("uniserial:17")
+    with pytest.raises(CapExceeded, match=r", M1\) of dimension 17 exceeds"):
+        is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
+    assert "pair_images" not in cat._closure_memo
+    with pytest.raises(CapExceeded, match=re.escape("Hom(M17, M17) of dimension 17 exceeds")):
+        _kernel_search._pair_images(cat, 16, 16)
+    assert cat._closure_memo["pair_images"] == {}
 
 
 def test_kernel_search_cap_message(monkeypatch):
@@ -95,12 +123,11 @@ def test_kernel_search_cap_message(monkeypatch):
 def step_outcome(c, s, budget):
     """The kernel step on s under a Hom budget: "raised", "escape" or None.
 
-    Members in index order, as the step takes them, reading the classes the
-    unbudgeted step stored in the catalog's memo.
+    Members in index order, as the step takes them, reading the mu bounds
+    and classes the unbudgeted step stored in the catalog's memo.
     """
-    mu = _kernel_search._mu_tables(c)
     for b in s.indices():
-        core = tuple(i for i in s.indices() for _ in range(mu[i][b]))
+        core = tuple(i for i in s.indices() for _ in range(_kernel_search._mu_bound(c, i, b)))
         if not core:
             continue
         if c.algebra.p ** sum(c.hom_dims[i][b] for i in core) > budget:

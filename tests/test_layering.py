@@ -48,8 +48,10 @@ def test_only_the_catalog_decodes_profiles():
 
 
 def test_one_endomorphism_walk(monkeypatch):
-    """The idempotent search, the brick test and the mu bounds' radical all walk End(m) in _nonunits."""
+    """The idempotent search and the brick test walk End(m) in _nonunits; the mu bounds do not."""
     from subcat import _kernel_search, catalog
+
+    from test_kernel_search import mu_table
 
     walk, seen = catalog._nonunits, []
 
@@ -58,17 +60,19 @@ def test_one_endomorphism_walk(monkeypatch):
         return walk(m, basis, test)
 
     monkeypatch.setattr(catalog, "_nonunits", recording)
-    monkeypatch.setattr(_kernel_search, "_nonunits", recording)
+    assert not hasattr(_kernel_search, "_nonunits")
     cat = build_builtin("uniserial:3")
     assert catalog.find_nontrivial_idempotent(cat.indecs[2]) is None
     assert not catalog.is_brick(cat.indecs[2])
-    _kernel_search._mu_tables(cat)
-    assert set(seen) == {"idempotent search", "brick test", "radical"}
+    mu_table(cat)
+    assert set(seen) == {"idempotent search", "brick test"}
 
 
 def test_one_join_closure(monkeypatch):
     """all_submodules and the mu bounds' End-submodules both grow joins in _join_closure."""
     from subcat import _kernel_search, linalg, rep
+
+    from test_kernel_search import mu_table
 
     closure, grown = linalg._join_closure, []
 
@@ -79,7 +83,7 @@ def test_one_join_closure(monkeypatch):
     monkeypatch.setattr(rep, "_join_closure", recording)
     monkeypatch.setattr(_kernel_search, "_join_closure", recording)
     cat = build_builtin("uniserial:3")
-    for run in (lambda: rep.all_submodules(cat.indecs[2]), lambda: _kernel_search._mu_tables(cat)):
+    for run in (lambda: rep.all_submodules(cat.indecs[2]), lambda: mu_table(cat)):
         grown.append(0)
         run()
     assert all(grown), grown

@@ -206,7 +206,10 @@ def test_modular_dimension_law():
 
 
 def test_join_closure_is_every_join_of_a_subset():
-    """Against the spans of every subset of the generators, by exhaustive combination."""
+    """Against the spans of every subset of the generators, by exhaustive combination.
+
+    Each join's depth is the size of the smallest subset that spans it.
+    """
     rng = random.Random(31)
     dims = (2, 3)
     zero = ((),) * len(dims)
@@ -215,18 +218,19 @@ def test_join_closure_is_every_join_of_a_subset():
             # four generators, each with up to two random rows per part
             gens = [[[[rng.randrange(p) for _ in range(d)] for _ in range(rng.randrange(3))]
                      for d in dims] for _ in range(4)]
-            want = {
-                tuple(frozenset(span_set(Mat.from_rows(p, [row for g in sub for row in g[k]], d)))
-                      for k, d in enumerate(dims))
-                for size in range(len(gens) + 1) for sub in combinations(gens, size)
-            }
+            want: dict = {}
+            for size in range(len(gens) + 1):
+                for sub in combinations(gens, size):
+                    span = tuple(frozenset(span_set(Mat.from_rows(
+                        p, [row for g in sub for row in g[k]], d))) for k, d in enumerate(dims))
+                    want.setdefault(span, size)
             packed = [tuple(_reduced_rows(p, [pack_row(p, row) for row in part]) for part in g)
                       for g in gens]
             got = _join_closure(p, zero, packed)
-            assert got[0] == zero
+            assert next(iter(got)) == zero
             assert len(got) == len(want)
             assert {tuple(frozenset(span_set(Mat(p, len(rows), d, rows)))
-                          for rows, d in zip(w, dims)) for w in got} == want
+                          for rows, d in zip(w, dims)): depth for w, depth in got.items()} == want
 
 
 def test_subspace_ambient_mismatch():

@@ -15,7 +15,6 @@ from itertools import product
 import pytest
 
 from subcat import _kernel_search as kernel_search
-from subcat._kernel_search import _end_actions, _mu_tables, _submodules
 from subcat.catalog import Catalog, _is_brick, build_builtin
 from subcat.cli import RunConfig
 from subcat.closures import ChainCertificate, ChainStep, SubcatBits, TorsionPair
@@ -290,8 +289,6 @@ def reference_mu_bound(cat, i, j):
     p = cat.algebra.p
     ebasis = cat.hom_pair_basis(i, i)
     de = len(ebasis)
-    if de > 8 or h > 5 or p**de > 4096 or (p > 2 and h > 3):
-        return h
     src = cat.indecs[i]
     action = lambda e: reference_action(homs, e)
     endos = [(c, morphism_from_coeffs(ebasis, c, src, src))
@@ -351,9 +348,17 @@ def mu_catalogs(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_mu_tables_equal_the_all_subspace_filter(p):
+    # imported here: test_kernel_search imports this module
+    from test_kernel_search import mu_table
+
     for d, c in mu_catalogs(p):
+        if p == 3 and d.startswith("uniserial:5"):
+            # the filter takes about 30 s per catalog here; every Hom between
+            # uniserials is cyclic over End, so each bound is 1
+            assert mu_table(c) == ((1,) * c.n,) * c.n, d
+            continue
         mu = tuple(tuple(reference_mu_bound(c, i, j) for j in range(c.n)) for i in range(c.n))
-        assert _mu_tables(c) == mu, d
+        assert mu_table(c) == mu, d
         if d == "kronecker":
             # a brick's End is the field, so every subspace of Hom out of it is a submodule
             assert mu == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
@@ -363,37 +368,23 @@ def test_mu_tables_equal_the_all_subspace_filter(p):
 
 
 def test_mu_bounds_out_of_bricks_search_nothing(monkeypatch):
-    """End = k makes every subspace a submodule; over F_31 the search would visit 993 lines."""
-    def no_search(*args):
-        raise AssertionError("a brick's mu bound needs no submodule search")
+    """End = k makes every subspace a submodule; over F_31 the joins would visit 31^3 maps."""
+    from test_kernel_search import mu_table
 
-    monkeypatch.setattr(kernel_search, "_submodules", no_search)
-    assert _mu_tables(kronecker_preprojectives(31)) == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
+    def no_search(*args):
+        raise AssertionError("a brick's mu bound needs no composition table")
+
+    monkeypatch.setattr(kernel_search, "_pair_images", no_search)
+    assert mu_table(kronecker_preprojectives(31)) == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
 
 
 def test_a_brick_whose_end_is_bigger_than_the_field():
+    from test_kernel_search import mu_table
+
     cat = f2_times_f4()
     ends = cat.hom_pair_basis(1, 1)
     assert len(ends) == 2 and _is_brick(cat.indecs[1], ends)
-    assert _mu_tables(cat) == ((1, 0), (0, 1))
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_end_actions_read_the_solved_coordinates(p):
-    """Every right action of End(X_i) on Hom(X_i, X_j), and the submodules it leaves stable."""
-    pairs = 0
-    for d, cat in mu_catalogs(p):
-        for i, j in product(range(cat.n), repeat=2):
-            homs, ebasis = cat.hom_pair_basis(i, j), cat.hom_pair_basis(i, i)
-            if not homs:
-                continue
-            actions = [reference_action(homs, e) for e in ebasis]
-            assert _end_actions(p, homs, ebasis) == actions, (d, i, j)
-            if len(homs) <= 3:
-                assert sorted(_submodules(p, len(homs), actions)) == sorted(
-                    w.basis.rows for w in stable_subspaces(p, len(homs), actions)), (d, i, j)
-                pairs += len(homs) > 1
-    assert pairs
+    assert mu_table(cat) == ((1, 0), (0, 1))
 
 
 def test_all_subspaces_of_a_small_space():

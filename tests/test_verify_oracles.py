@@ -19,14 +19,13 @@ from subcat._kernel_search import (
     _kernel_classes,
     _kernel_violation,
     _mid_label,
-    _mu_tables,
     _step_escape,
 )
 from subcat.lattices import KINDS, enumerate_family
 from subcat.linalg import Subspace
 from subcat.rep import all_submodules, hom_basis, image, kernel, quotient, sub_to_rep
 
-from test_kernel_search import reference_classes
+from test_kernel_search import mu_table, reference_classes
 from test_lattice_path import AN3_WORDS, nakayama_a3_rad2
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
@@ -146,7 +145,7 @@ def reference_kernel_violation(s, mult_cap, dim_cap, dual=False):
     """
     cat = s.catalog
     classes = cat._closure_memo.setdefault("kerstep", {})
-    mu = _mu_tables(cat)
+    mu = mu_table(cat)
     sat = saturation(mu)
     caps = [min(mult_cap, sat[i] + 1) if s.has(i) else 0 for i in range(cat.n)]
     dims = [m.total_dim for m in cat.indecs]
@@ -190,7 +189,7 @@ def reference_kernel_violation(s, mult_cap, dim_cap, dual=False):
 
 def saturating_caps(cat):
     """(mult_cap, dim_cap) whose seeds include the saturated seed: saturation + 1 of each member."""
-    sat = saturation(_mu_tables(cat))
+    sat = saturation(mu_table(cat))
     return max(sat) + 1, sum((m + 1) * x.total_dim for m, x in zip(sat, cat.indecs))
 
 
