@@ -24,8 +24,8 @@ closure condition:
   So the step reads the kernel classes of the maps C_b -> X_b, member by
   member in index order, and its first class outside s is the witness, a
   genuine kernel of a morphism between member sums.  No configured cap
-  enters: the only bound is the Hom budget ``KERNEL_ENUM_CAP``, and a step
-  over it raises.
+  enters: the only bound is the walk budget ``linalg.COEFF_WALK_BUDGET`` on
+  the (p^dim - 1)/(p - 1) lines of Hom(C_b, X_b), and a step over it raises.
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both are ranks of
@@ -45,25 +45,23 @@ pair and memoized on the catalog, so enumeration never builds them.  mu(i,
 j) is read off the same composition table: the joins of the pair's images
 are the End(X_i)-submodules of Hom(X_i, X_j), and the depth of their join
 closure from 0 (``_join_closure``) is the largest generator count, with no
-End-ring arithmetic and no fallback.  Building a pair's table checks its
-p^dim Hom against ``KERNEL_ENUM_CAP`` first.
+End-ring arithmetic and no fallback.  Building a pair's table walks one map
+per line of its Hom, since c*g has the image spans and the kernel of g, and
+counts those lines against the same budget first.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .catalog import Catalog, ModuleId
 from .closures import SubcatBits, _ext_rows, fac_contains, sub_contains
-from .errors import CapExceeded, UnknownModule
-from .linalg import _combine, _join, _join_closure, _kron_rows, _reduced_rows
+from .errors import UnknownModule
+from .linalg import _coeff_walk, _combine, _join, _join_closure, _kron_rows, _reduced_rows
 from .rep import direct_sum, flat_entries, kernel, morphism_from_coeffs
 
 if TYPE_CHECKING:
     from .rep import Morphism, Rep
-
-KERNEL_ENUM_CAP = 1 << 16
 
 
 def letter_violation(kind: str, s: SubcatBits) -> Optional[str]:
@@ -133,8 +131,6 @@ def _image(p: int, table: tuple, coeffs: Sequence[int]) -> tuple:
     one row per generator of Hom(probe, X_i), holding its images under the
     basis g_t of Hom(X_i, X_j).
     """
-    if not any(coeffs):
-        return tuple(() for _ in table)
     return tuple(_reduced_rows(p, [_combine(p, coeffs, gen) for gen in probe])
                  for probe in table)
 
@@ -147,19 +143,15 @@ def _pair_images(cat: Catalog, i: int, j: int) -> tuple[tuple, tuple]:
     of g_t at x; at member k they are the basis f of Hom(X_k, X_i), mapped to
     the packed entries of g_t∘f in Hom(X_k, X_j) (``_composites``).  The
     images come with the zero image first, one per distinct span tuple over
-    all g in Hom(X_i, X_j).  Raises CapExceeded before enumerating the p^h
-    maps when that exceeds KERNEL_ENUM_CAP; a core holding X_i could not
-    pass the step's own p^dim check then.
+    one g per line of Hom(X_i, X_j).  Raises CapExceeded before the walk
+    when those lines exceed the budget; a core holding X_i could not pass
+    the step's own check then.
     """
     memo = cat._closure_memo.setdefault("pair_images", {})
     if (i, j) not in memo:
         p = cat.algebra.p
         gs = cat.hom_pair_basis(i, j)
-        if p ** len(gs) > KERNEL_ENUM_CAP:
-            raise CapExceeded(
-                f"Hom({cat.names[i]}, {cat.names[j]}) of dimension {len(gs)} "
-                f"exceeds the kernel search budget"
-            )
+        walk = _hom_walk(cat, (i,), j, len(gs))
         columns = [[c.transpose().rows for c in g.comps] for g in gs]
         flats = [flat_entries(g) for g in gs]
         table = tuple(
@@ -169,7 +161,7 @@ def _pair_images(cat: Catalog, i: int, j: int) -> tuple[tuple, tuple]:
             tuple(_composites(p, f, cat.indecs[j], flats) for f in cat.hom_pair_basis(k, i))
             for k in range(cat.n)
         )
-        images = {_image(p, table, c): None for c in product(range(p), repeat=len(gs))}
+        images = dict.fromkeys((tuple(() for _ in table), *(_image(p, table, c) for c in walk)))
         memo[(i, j)] = (table, tuple(images))
     return memo[(i, j)]
 
@@ -202,12 +194,7 @@ def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
     zero, since a nonzero g has a nonzero column at some vertex probe.
     """
     p = cat.algebra.p
-    dim = sum(cat.hom_dims[i][b] for i in core)
-    if p ** dim > KERNEL_ENUM_CAP:
-        raise CapExceeded(
-            f"Hom({_mid_label(cat, core)}, {cat.names[b]}) of dimension "
-            f"{dim} exceeds the kernel search budget"
-        )
+    _hom_walk(cat, core, b, sum(cat.hom_dims[i][b] for i in core))  # the step's one bound
     if not cat.complete:
         return _materialized_kernel_classes(cat, core, b)
     nv = cat.algebra.n_vertices
@@ -234,16 +221,20 @@ def _materialized_kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozen
     For catalogs not marked complete, where the profile does not fix the
     class and a summand outside the catalog must raise UnknownModule.
     """
-    p = cat.algebra.p
     parts = direct_sum(cat.algebra, [cat.indecs[i] for i in core])
     basis = [g.compose(proj) for proj, i in zip(parts.projections, core)
              for g in cat.hom_pair_basis(i, b)]
     kernels: dict = {}
-    for coeffs in product(range(p), repeat=len(basis)):
-        if any(coeffs):
-            ker = kernel(morphism_from_coeffs(basis, coeffs, parts.rep, cat.indecs[b]))
-            kernels.setdefault(ker.key(), ker)
+    for coeffs in _hom_walk(cat, core, b, len(basis)):
+        ker = kernel(morphism_from_coeffs(basis, coeffs, parts.rep, cat.indecs[b]))
+        kernels.setdefault(ker.key(), ker)
     return frozenset(cat.identify_sub(ker) for ker in kernels.values())
+
+
+def _hom_walk(cat: Catalog, core: ModuleId, b: int, dim: int) -> Iterator[tuple[int, ...]]:
+    """One map per line of Hom(core, X_b), of this dimension, under the walk budget."""
+    return _coeff_walk(cat.algebra.p, dim, True, f"Hom({_mid_label(cat, core)}, {cat.names[b]})",
+                       "kernel search")
 
 
 # -- mu bounds ----------------------------------------------------------------------

@@ -25,9 +25,10 @@ unless relations constrain it.  Where this rank count gives dim Z = dim B,
 Ext^1 = 0 and nothing more is eliminated (if relations constrain Z, the
 constraint must still vanish on B); elsewhere one elimination grows the
 echelon rows of B by the cocycles, and those that grow them are a basis of
-Z/B.  Every pair passes the EXT_COSET_CAP check before any middle is
-identified.  Then the zero class is the split middle X_i + X_j, and each
-other class theta has its Hom profile read off the long exact sequence:
+Z/B.  Every pair's lines of Z/B are counted against ``COEFF_WALK_BUDGET``
+before any middle is identified.  Then the zero class is the split middle
+X_i + X_j, and one theta per line (diag(c, 1) conjugates the middle of theta
+to that of c*theta) has its Hom profile read off the long exact sequence:
 dim Hom(X_k, E) = h(k, i) + h(k, j) - rank of f -> [theta.f] from
 Hom(X_k, X_j) into Ext^1(X_k, X_i).  With the dimension vector, that profile
 decodes the middle on a complete catalog, so no middle is assembled.  A user
@@ -37,7 +38,6 @@ catalog, or a failed decode, assembles the middle and identifies it through
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 from operator import add, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -55,6 +55,7 @@ from .errors import (
 from .linalg import (
     Mat,
     _block,
+    _coeff_walk,
     _combine,
     _kron_rows,
     _pivot_insert,
@@ -83,8 +84,6 @@ from .rep import (
 
 ModuleId = tuple  # sorted tuple of catalog indices, with multiplicity
 
-EXT_COSET_CAP = 16
-END_ENUM_CAP = 1 << 16
 # Most indecomposables a builtin may have: an:10 has 55, and an:11 (66) is refused.
 BUILTIN_SIZE_CAP = 64
 
@@ -259,18 +258,15 @@ class Catalog:
         coset = tuple(z for z in zs if _pivot_insert(p, piv, z))
         if len(piv) != len(zs):
             raise CatalogError("coboundaries escaped the cocycle space")
-        if len(coset) > EXT_COSET_CAP:
-            raise CapExceeded(
-                f"extension space of dimension {len(coset)} exceeds cap {EXT_COSET_CAP}"
-            )
+        _coeff_walk(p, len(coset), True, "extension space", "middle-term search")
         return _ExtSpace(tuple(offs), total, coset, cobound)
 
     def _ext_middles(self, i: int, j: int, spaces: dict) -> set:
         """Middle terms of all extensions with submodule indec_i and quotient indec_j.
 
         theta differing by a coboundary give isomorphic middles, so theta runs
-        over combinations of the coset basis of ``spaces[(i, j)]``; the zero
-        combination is the split extension.  Every other middle is decoded
+        over combinations of the coset basis of ``spaces[(i, j)]``, one per
+        line; the zero combination is the split extension.  Every other middle is decoded
         from its dimension vector and Hom profile (_middle_profiles), or else
         assembled and identified.
         """
@@ -285,7 +281,7 @@ class Catalog:
         return middles
 
     def _middle_profiles(self, i: int, j: int, spaces: dict):
-        """(packed theta, Hom profile of its middle E) for each non-split coset combination.
+        """(packed theta, Hom profile of its middle E) for one non-split coset combination per line.
 
         Hom(X_k, -) on 0 -> X_i -> E -> X_j -> 0 gives dim Hom(X_k, E) =
         h(k, i) + h(k, j) - rank delta, where delta sends f in Hom(X_k, X_j) to
@@ -306,9 +302,7 @@ class Catalog:
             for k in range(self.n)
             if h[k][j] and spaces[(i, k)].coset
         }
-        for coeffs in product(range(p), repeat=len(space.coset)):
-            if not any(coeffs):
-                continue
+        for coeffs in _coeff_walk(p, len(space.coset), True, "extension space", "middle-term search"):
             prof = list(base)
             for k, rows in pulled.items():
                 piv = dict(spaces[(i, k)].cobound)
@@ -495,15 +489,12 @@ def _nonunits(m: Rep, basis: Sequence[Morphism],
     The one walk over End(m), behind the idempotent search and the brick
     test.  It runs over ``basis`` in coefficient order; a map is invertible
     when it is at every vertex.  Nothing when dim End = 1, since End = k then
-    (or m = 0, with an empty basis).  Raises CapExceeded, naming the test,
-    when p^dim End exceeds END_ENUM_CAP.
+    (or m = 0, with an empty basis).  c*e is idempotent only if c = 1, so all
+    p^dim End are counted against ``linalg.COEFF_WALK_BUDGET``.
     """
     if len(basis) == 1:
         return
-    p = m.algebra.p
-    if p ** len(basis) > END_ENUM_CAP:
-        raise CapExceeded(f"End space of dimension {len(basis)} exceeds {test} cap")
-    for coeffs in product(range(p), repeat=len(basis)):
+    for coeffs in _coeff_walk(m.algebra.p, len(basis), False, "End space", test):
         if any(coeffs):
             f = morphism_from_coeffs(basis, coeffs, m, m)
             if any(rref(c).rank < d for c, d in zip(f.comps, m.dims)):

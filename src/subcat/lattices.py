@@ -43,12 +43,14 @@ UnknownModule when one is missing.  The chain closures also stay behind
 independent of the perps.
 
 ``is_closed`` is the independent oracle, and strategy ``bruteforce``
-filters all 2^n subsets through it.  It decides serre, tors and torf
-exactly through the chain closure operators.  For wide, ice, ike and ie it
-runs the letter checks of ``_kernel_search``, a module imported on the
-first such check: the exact extension and image tests, and for wide, ice
-and ike the kernel/cokernel step, which decides exactly and names the
-witness.  ie is thus decided by its definition, closure under images and
+filters candidates through it: all 2^n subsets for serre, tors and torf,
+and for the letter kinds only the closed sets of ``_fill`` over the
+extension rows, the subsets its own extension check passes.  It decides
+serre, tors and torf exactly through the chain closure operators.  For
+wide, ice, ike and ie it runs the letter checks of ``_kernel_search``, a
+module imported on the first such check: the exact extension and image
+tests, and for wide, ice and ike the kernel/cokernel step, which decides
+exactly and names the witness.  ie is thus decided by its definition, closure under images and
 extensions, and not by the theorem the lattice path uses.  No check takes a
 configured cap; a family's JSON keeps, as a fixed record, the
 ``checker_config`` of the caps the checks once took.
@@ -289,16 +291,18 @@ def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto") -> Family:
     """Enumerate all subcategories of one kind.
 
     ``auto`` derives the family exactly from the lattice tables (see the
-    module docstring).  ``bruteforce`` filters all 2^n subsets through the
-    checker is_closed, the oracle of ``auto``; both return identical
-    families.
+    module docstring).  ``bruteforce`` filters the candidates of its kind
+    through the checker is_closed, the oracle of ``auto``; both return
+    identical families.
     """
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
     if strategy == "auto":
         bitsets = _lattice_bitsets(cat, kind)
     elif strategy == "bruteforce":
-        bitsets = [b for b in range(1 << cat.n) if is_closed(kind, SubcatBits(cat, b))[0]]
+        candidates = (range(1 << cat.n) if kind in _CLOSURES
+                      else _next_closure_enum(lambda b: _fill(_ext_rows(cat), b), cat.n))
+        bitsets = [b for b in candidates if is_closed(kind, SubcatBits(cat, b))[0]]
     else:
         raise ShapeError(f"unknown strategy {strategy!r}")
     return Family(kind, cat, _sorted_members(cat, bitsets))

@@ -15,7 +15,8 @@ oracle's image spans and the traces and rejects of ``closures`` are built
 this way.  ``_join_closure`` grows every join of some generators from zero,
 breadth first, with the depth at which it first reaches each: the submodule
 lattice of ``rep.all_submodules``, and the mu bounds of the kernel oracle,
-which read the depth as a generator count.
+which read the depth as a generator count.  ``_coeff_walk`` is every walk
+over the coefficient vectors of a Hom, End or Ext space, under one budget.
 Everything is an immutable value.
 """
 
@@ -25,9 +26,11 @@ from functools import cache
 from itertools import product
 from math import isqrt
 from operator import attrgetter
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import ShapeError
+from .errors import CapExceeded, ShapeError
+
+COEFF_WALK_BUDGET = 1 << 16  # vectors (or lines) one walk may visit, read at each call
 
 
 @cache
@@ -149,6 +152,22 @@ def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):
         if c:
             acc = acc ^ v if p == 2 else [a + c * b for a, b in zip(acc, v)]
     return acc if p == 2 else tuple(a % p for a in acc)
+
+
+def _lines(p: int, d: int) -> Iterator[tuple[int, ...]]:
+    """One vector per line of F_p^d: the vectors whose first nonzero entry is 1."""
+    return ((0,) * lead + (1,) + rest
+            for lead in range(d) for rest in product(range(p), repeat=d - 1 - lead))
+
+
+def _coeff_walk(p: int, dim: int, lines: bool, space: str, search: str) -> Iterator[tuple[int, ...]]:
+    """The vectors of F_p^dim a search visits: one per line if its answer at g is that at c*g,
+    else all p^dim, zero first.  Raises CapExceeded first if their count exceeds the budget.
+    """
+    count = (p ** dim - 1) // (p - 1) if lines else p ** dim
+    if count > COEFF_WALK_BUDGET:
+        raise CapExceeded(f"{space} of dimension {dim} exceeds the {search} budget")
+    return _lines(p, dim) if lines else product(range(p), repeat=dim)
 
 
 def _kron_rows(p: int, ncols: int, blocks: Iterable[Sequence[tuple]]) -> list:

@@ -9,8 +9,7 @@ vertex, that are stable under every arrow.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, ShapeError
 from .linalg import (
@@ -18,9 +17,11 @@ from .linalg import (
     Subspace,
     _block,
     _check_prime,
+    _coeff_walk,
     _Frozen,
     _join_closure,
     _kron_rows,
+    _lines,
     _slot_setters,
     nullspace,
     pack_row,
@@ -31,7 +32,6 @@ SUBMODULE_DIM_CAP = 12
 # Lines of F_p^d enumerated per vertex by all_submodules; 2^12 - 1 is a
 # 12-dimensional vertex over F_2, the largest the dimension cap admits.
 SUBMODULE_LINE_BUDGET = 1 << 12
-ISO_SEARCH_CAP = 1 << 16
 
 
 class Arrow(NamedTuple):
@@ -496,12 +496,6 @@ def generated_submodule(m: Rep, generators: Iterable[tuple[int, Sequence[int]]])
     return SubRep(m, tuple(spaces))
 
 
-def _lines(p: int, d: int) -> Iterator[tuple[int, ...]]:
-    """One generator per line of F_p^d: the vectors whose first nonzero entry is 1."""
-    return ((0,) * lead + (1,) + rest
-            for lead in range(d) for rest in product(range(p), repeat=d - 1 - lead))
-
-
 def all_submodules(m: Rep) -> list[SubRep]:
     """Every arrow-stable subspace tuple, as the join closure of cyclic subs (``_join_closure``).
 
@@ -536,7 +530,7 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
 
     f is invertible exactly when c*f is, so one coefficient vector per line
     is tried; raises CapExceeded when those (p^h - 1)/(p - 1) candidates,
-    h = dim Hom(m, n), exceed ISO_SEARCH_CAP.
+    h = dim Hom(m, n), exceed the walk budget ``linalg.COEFF_WALK_BUDGET``.
     """
     if m.algebra != n.algebra:
         raise ShapeError("representations over different algebras")
@@ -545,10 +539,7 @@ def is_isomorphic(m: Rep, n: Rep) -> bool:
     if m.total_dim == 0:
         return True
     basis = hom_basis(m, n)
-    p = m.algebra.p
-    if (p ** len(basis) - 1) // (p - 1) > ISO_SEARCH_CAP:
-        raise CapExceeded(f"Hom space of dimension {len(basis)} exceeds isomorphism search cap")
-    for coeffs in _lines(p, len(basis)):
+    for coeffs in _coeff_walk(m.algebra.p, len(basis), True, "Hom space", "isomorphism search"):
         f = morphism_from_coeffs(basis, coeffs, m, n)
         if all(rref(c).rank == d for c, d in zip(f.comps, m.dims)):
             return True

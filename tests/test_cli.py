@@ -389,7 +389,7 @@ def test_extension_space_cap(tmp_path, capsys):
     args = file_catalog_args(tmp_path, parallel_arrows(17), SIMPLES)
     code, _, err = run(capsys, "catalog", *args)
     assert code == 3
-    assert "extension space of dimension 17 exceeds cap 16" in err
+    assert "extension space of dimension 17 exceeds the middle-term search budget" in err
 
 
 def test_extension_space_at_cap_reaches_identification(tmp_path, capsys):
@@ -451,6 +451,18 @@ def test_large_prime_enumerates_all_families(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", *args, "--kind", "all")
     assert code == 0
     assert [line.split(" | ")[-1] for line in out.splitlines()[2:]] == ["2"] * 7
+
+
+@pytest.mark.parametrize("field_char", [65537, 2**31 - 1])
+def test_large_prime_walks_one_extension_per_line(tmp_path, capsys, field_char):
+    """Ext^1(S2, S1) of A2 is a line: one non-split theta is walked, not p - 1 of them."""
+    a2 = {"field_char": field_char, **parallel_arrows(1)}
+    args = file_catalog_args(tmp_path, a2, {
+        **SIMPLES, "P1": {"dims": {"1": 1, "2": 1}, "matrices": {"a0": [[1]]}}})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", *args, "--kind", "ie", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["count"] == 7
 
 
 @pytest.mark.parametrize("field_char", [10**400, 2**61 - 1])

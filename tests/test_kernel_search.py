@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from subcat import _kernel_search, cli
+from subcat import _kernel_search, cli, linalg
 from subcat.catalog import Catalog, build_builtin
 from subcat.closures import SubcatBits
 from subcat.errors import CapExceeded, UnknownModule
@@ -114,23 +114,26 @@ def test_over_the_budget_raises_before_enumerating():
 
 
 def test_kernel_search_cap_message(monkeypatch):
-    monkeypatch.setattr(_kernel_search, "KERNEL_ENUM_CAP", 1)
+    """The budget bounds the catalog build too, so the catalog and its opposite come first."""
     cat = build_builtin("uniserial:3")
+    cat.opposite()
+    monkeypatch.setattr(linalg, "COEFF_WALK_BUDGET", 1)
     with pytest.raises(CapExceeded, match="exceeds the kernel search budget"):
         is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
 
 
 def step_outcome(c, s, budget):
-    """The kernel step on s under a Hom budget: "raised", "escape" or None.
+    """The kernel step on s under a budget on the lines of Hom: "raised", "escape" or None.
 
     Members in index order, as the step takes them, reading the mu bounds
     and classes the unbudgeted step stored in the catalog's memo.
     """
+    p = c.algebra.p
     for b in s.indices():
         core = tuple(i for i in s.indices() for _ in range(_kernel_search._mu_bound(c, i, b)))
         if not core:
             continue
-        if c.algebra.p ** sum(c.hom_dims[i][b] for i in core) > budget:
+        if (p ** sum(c.hom_dims[i][b] for i in core) - 1) // (p - 1) > budget:
             return "raised"
         if any(not s.contains_id(kid) for kid in c._closure_memo["kerstep"][(core, b)]):
             return "escape"
@@ -143,16 +146,19 @@ def test_decision_walk_keeps_cap_errors_and_witnesses(monkeypatch):
     That is on exactly the subsets with no extension witness whose kernel
     step, or failing an escape there the cokernel step, meets a core over
     the budget before an escape.  Elsewhere the answer and witness are the
-    unbudgeted ones.
+    unbudgeted ones.  The budget bounds catalog builds too, so each fresh
+    catalog and its opposite are built before it is lowered.
     """
     cat = build_builtin("uniserial:4")
     unbudgeted = {bits: is_closed("wide", SubcatBits(cat, bits)) for bits in range(1, 1 << cat.n)}
     reached = sorted({cat.algebra.p ** sum(cat.hom_dims[i][b] for i in core)
                       for core, b in cat._closure_memo["kerstep"]})
     outcomes = set()
-    for budget in reached[:-1]:
-        monkeypatch.setattr(_kernel_search, "KERNEL_ENUM_CAP", budget)
-        fresh = build_builtin("uniserial:4")
+    fresh_catalogs = [build_builtin("uniserial:4") for _ in reached[:-1]]
+    for fresh in fresh_catalogs:
+        fresh.opposite()
+    for budget, fresh in zip(reached[:-1], fresh_catalogs):
+        monkeypatch.setattr(linalg, "COEFF_WALK_BUDGET", budget)
         for bits in range(1, 1 << cat.n):
             s = SubcatBits(cat, bits)
             expected = None

@@ -2,13 +2,15 @@
 
 import json
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
 from subcat import catalog, linalg, rep
+from subcat._kernel_search import _ext_violation
 from subcat.catalog import Catalog, build_builtin, find_nontrivial_idempotent, is_brick
-from subcat.closures import SubcatBits, serre_closure, torf_closure, tors_closure
+from subcat.closures import SubcatBits, _ext_rows, _fill, serre_closure, torf_closure, tors_closure
 from subcat.errors import CapExceeded
 from subcat.files import load_catalog
 from subcat.lattices import (KINDS, _closure_operator, _next_closure_enum, _perp_operator,
@@ -62,6 +64,27 @@ def test_lattice_equals_bruteforce_nakayama(tmp_path):
         lattice = enumerate_family(cat, kind)
         brute = enumerate_family(cat, kind, "bruteforce")
         assert lattice.member_names() == brute.member_names(), kind
+
+
+def assert_fill_lists_the_extension_closed_subsets(cat):
+    """NextClosure over _fill lists exactly the subsets with no extension witness.
+
+    bruteforce filters only these for the letter kinds; the literal check
+    over all 2^n subsets is their oracle.  On the catalog and its opposite.
+    """
+    for c in (cat, cat.opposite()):
+        listed = _next_closure_enum(lambda bits: _fill(_ext_rows(c), bits), c.n)
+        literal = [bits for bits in range(1 << c.n) if _ext_violation(SubcatBits(c, bits)) is None]
+        assert sorted(listed) == literal
+
+
+def test_bruteforce_candidates_are_the_extension_closed_subsets(tmp_path):
+    descriptors = ["a2", "a3", *(f"an:3:{w}" for w in AN3_WORDS),
+                   *(f"an:4:{''.join(w)}" for w in product("<>", repeat=3)),
+                   *(f"uniserial:{n}" for n in range(2, 6)), "an:5:><><"]
+    for descriptor in descriptors:
+        assert_fill_lists_the_extension_closed_subsets(build_builtin(descriptor))
+    assert_fill_lists_the_extension_closed_subsets(nakayama_a3_rad2(tmp_path))
 
 
 # a3 is the builtin an:3:>>, so the four orientations cover it
@@ -180,8 +203,8 @@ def test_endomorphism_walk_readers_on_edge_cases(monkeypatch):
     split = rep.direct_sum(cat.algebra, [cat.indecs[1], cat.indecs[1]]).rep
     e = find_nontrivial_idempotent(split)
     assert e is not None and e.compose(e) == e and not is_brick(split)
-    monkeypatch.setattr(catalog, "END_ENUM_CAP", 3)
-    with pytest.raises(CapExceeded, match="End space of dimension 2 exceeds brick test cap"):
+    monkeypatch.setattr(linalg, "COEFF_WALK_BUDGET", 3)
+    with pytest.raises(CapExceeded, match="End space of dimension 2 exceeds the brick test budget"):
         is_brick(cat.indecs[1])
-    with pytest.raises(CapExceeded, match="exceeds idempotent search cap"):
+    with pytest.raises(CapExceeded, match="exceeds the idempotent search budget"):
         find_nontrivial_idempotent(split)

@@ -197,3 +197,30 @@ def test_no_search_takes_a_bound():
             "_kernel_search._kernel_violation"} <= seen
     assert bounded == []
     assert not hasattr(rep, "check_submodule_cap")
+
+
+def test_bound_constants_are_the_readme_table():
+    """Every module-level *_CAP or *_BUDGET of subcat is one row of README's bounds table."""
+    import importlib
+
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (\d+)(?:\^(\d+))? \|",
+                      (SRC.parents[1] / "README.md").read_text(encoding="utf-8"), re.M)
+    documented = {(name, module, int(base) ** int(exp or 1)) for name, module, base, exp in rows}
+    defined = {
+        (name, path.stem, getattr(importlib.import_module(f"subcat.{path.stem}"), name))
+        for path in sorted(SRC.glob("*.py"))
+        for name in re.findall(r"^(\w+_(?:CAP|BUDGET)) = ", path.read_text(), re.M)
+    }
+    assert defined == documented
+    assert len(documented) == 4
+
+
+def test_only_linalg_walks_coefficient_vectors():
+    """Hom, End and Ext walks go through linalg._coeff_walk, which checks the one budget."""
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"product\(range\(", line)
+    ]
+    assert hits == []

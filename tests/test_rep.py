@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from subcat import rep
+from subcat import linalg, rep
 from subcat.errors import CapExceeded, ShapeError
 from subcat.linalg import Mat, Subspace, rref
 from subcat.rep import (
@@ -364,8 +364,8 @@ def test_iso_search_tries_one_scalar_class(monkeypatch):
     twisted = Rep(LOOP2_F3, (2,), (Mat.from_rows(3, [[0, 0], [2, 0]]),))
     plain = Rep(LOOP2_F3, (2,), (Mat.from_rows(3, [[0, 0], [1, 0]]),))
     assert is_isomorphic(twisted, plain)
-    monkeypatch.setattr(rep, "ISO_SEARCH_CAP", 1)
+    monkeypatch.setattr(linalg, "COEFF_WALK_BUDGET", 1)
     assert is_isomorphic(simple, simple)
-    monkeypatch.setattr(rep, "ISO_SEARCH_CAP", 3)
-    with pytest.raises(CapExceeded):
+    monkeypatch.setattr(linalg, "COEFF_WALK_BUDGET", 3)
+    with pytest.raises(CapExceeded, match="exceeds the isomorphism search budget"):
         is_isomorphic(twisted, plain)

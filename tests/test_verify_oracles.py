@@ -5,7 +5,6 @@ import io
 import json
 import shlex
 from contextlib import redirect_stdout
-from itertools import product
 from operator import add, sub
 from pathlib import Path
 
@@ -149,21 +148,39 @@ def reference_kernel_violation(s, mult_cap, dim_cap, dual=False):
     sat = saturation(mu)
     caps = [min(mult_cap, sat[i] + 1) if s.has(i) else 0 for i in range(cat.n)]
     dims = [m.total_dim for m in cat.indecs]
+    members = s.indices()
+    room = [sum(caps[i] * dims[i] for i in members[k:]) for k in range(len(members) + 1)]
     seeds = set()
-    for counts in product(*(range(c + 1) for c in caps)):
-        used = sum(c * d for c, d in zip(counts, dims))
-        if used and used <= dim_cap and all(
-                counts[i] == caps[i] or used + dims[i] > dim_cap for i in s.indices()):
-            seeds.add(counts)
+
+    def grow(k, counts, used, need):
+        """Every seed extending counts on members[:k].
+
+        A seed is maximal when its total dimension ``used`` reaches ``need``:
+        a member below its cap could not take one more copy within dim_cap.
+        """
+        if used > dim_cap or used + room[k] < need:
+            return
+        if k == len(members):
+            if used:
+                seeds.add(tuple(counts))
+            return
+        i = members[k]
+        for c in range(caps[i] + 1):
+            counts[i] = c
+            grow(k + 1, counts, used + c * dims[i],
+                 need if c == caps[i] else max(need, dim_cap - dims[i] + 1))
+        counts[i] = 0
+
+    grow(0, [0] * cat.n, 0, 0)
     as_mid = lambda counts: mid_from_counts(dict(enumerate(counts)))
-    columns = {b: tuple(row[b] for row in mu) for b in s.indices()}
+    columns = {b: tuple(row[b] for row in mu) for b in members}
     sticky = tuple(m + 1 for m in sat)
     seen = set(seeds)
     frontier = sorted(seen, key=as_mid)
     steps: dict = {}
     while frontier:
         state = frontier.pop()
-        for b in s.indices():
+        for b in members:
             core = tuple(map(min, state, columns[b]))
             if (core, b) not in steps:
                 key = (as_mid(core), b)
