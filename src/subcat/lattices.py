@@ -50,10 +50,10 @@ serre, tors and torf exactly through the chain closure operators.  For
 wide, ice, ike and ie it runs the letter checks of ``_kernel_search``, a
 module imported on the first such check: the exact extension and image
 tests, and for wide, ice and ike the kernel/cokernel step, which decides
-exactly and names the witness.  ie is thus decided by its definition, closure under images and
-extensions, and not by the theorem the lattice path uses.  No check takes a
-configured cap; a family's JSON keeps, as a fixed record, the
-``checker_config`` of the caps the checks once took.
+exactly and names the witness.  ie is thus decided by its definition,
+closure under images and extensions, and not by the theorem the lattice
+path uses.  No check takes a configured cap; a family's JSON keeps, as a
+fixed record, the ``checker_config`` of the caps the checks once took.
 """
 
 from __future__ import annotations

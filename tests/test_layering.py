@@ -212,7 +212,7 @@ def test_bound_constants_are_the_readme_table():
         for name in re.findall(r"^(\w+_(?:CAP|BUDGET)) = ", path.read_text(), re.M)
     }
     assert defined == documented
-    assert len(documented) == 4
+    assert ("COEFF_WALK_BUDGET", "linalg", 1 << 16) in documented
 
 
 def test_only_linalg_walks_coefficient_vectors():
