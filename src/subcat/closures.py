@@ -341,8 +341,8 @@ def _module_key(cat: Catalog, m: Rep) -> tuple:
 def _splits(cat: Catalog, m: Rep) -> list[tuple[Rep, Rep]]:
     """(layer, quotient) per nonzero proper submodule, in all_submodules order.
 
-    Memoized per catalog on the module value; a module over the caps of
-    all_submodules raises there, before anything is cached.
+    Memoized per catalog on the module value; a module over the submodule
+    budget of all_submodules raises there, before anything is cached.
     """
     memo = cat._closure_memo.setdefault("filt_splits", {})
     if m not in memo:
@@ -363,7 +363,7 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
     the quotient recursively passes.  pred must be isomorphism-invariant;
     results are memoized per call on the (dimension vector, Hom profile)
     key.  The keys and the submodule splits are pred-independent and cached
-    on the catalog; splitting a module over the caps of all_submodules raises.
+    on the catalog; splitting a module over the submodule budget raises.
     """
     if _memo is None:
         _memo = {}

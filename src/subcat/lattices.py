@@ -45,7 +45,8 @@ independent of the perps.
 ``is_closed`` is the independent oracle, and strategy ``bruteforce``
 filters candidates through it: all 2^n subsets for serre, tors and torf,
 and for the letter kinds only the closed sets of ``_fill`` over the
-extension rows, the subsets its own extension check passes.  It decides
+extension rows, the subsets its own extension check passes, listed once
+per catalog.  It decides
 serre, tors and torf exactly through the chain closure operators.  For
 wide, ice, ike and ie it runs the letter checks of ``_kernel_search``, a
 module imported on the first such check: the exact extension and image
@@ -287,6 +288,14 @@ def _lattice_bitsets(cat: Catalog, kind: str) -> frozenset[int]:
     return memo[kind]
 
 
+def _ext_closed(cat: Catalog) -> tuple[int, ...]:
+    """Every extension-closed subset, by NextClosure over Filt, memoized on the catalog."""
+    memo = cat._closure_memo
+    if "ext_closed" not in memo:
+        memo["ext_closed"] = tuple(_next_closure_enum(lambda b: _fill(_ext_rows(cat), b), cat.n))
+    return memo["ext_closed"]
+
+
 def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto") -> Family:
     """Enumerate all subcategories of one kind.
 
@@ -300,8 +309,7 @@ def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto") -> Family:
     if strategy == "auto":
         bitsets = _lattice_bitsets(cat, kind)
     elif strategy == "bruteforce":
-        candidates = (range(1 << cat.n) if kind in _CLOSURES
-                      else _next_closure_enum(lambda b: _fill(_ext_rows(cat), b), cat.n))
+        candidates = range(1 << cat.n) if kind in _CLOSURES else _ext_closed(cat)
         bitsets = [b for b in candidates if is_closed(kind, SubcatBits(cat, b))[0]]
     else:
         raise ShapeError(f"unknown strategy {strategy!r}")

@@ -13,10 +13,13 @@ basis of the span, which ``rref``, ``Subspace`` and the kernel oracle's image
 spans share.  ``_join`` joins tuples of such bases partwise: the kernel
 oracle's image spans and the traces and rejects of ``closures`` are built
 this way.  ``_join_closure`` grows every join of some generators from zero,
-breadth first, with the depth at which it first reaches each: the submodule
-lattice of ``rep.all_submodules``, and the mu bounds of the kernel oracle,
-which read the depth as a generator count.  ``_coeff_walk`` is every walk
-over the coefficient vectors of a Hom, End or Ext space, under one budget.
+breadth first, with the depth at which it first reaches each: the joins of
+the kernel oracle's pair images, whose depth is a mu bound, a generator
+count.  ``_complement`` finds in one echelon pass the vectors that some maps
+send into given spans, modulo a span: ``rep.all_submodules`` reads the
+socle of each quotient from it.  ``_coeff_walk`` is every walk over the
+coefficient vectors of a Hom, End or Ext space or of a socle, under one
+budget.
 Everything is an immutable value.
 """
 
@@ -143,6 +146,36 @@ def _join_closure(p: int, zero: tuple, gens: Collection[tuple]) -> dict[tuple, i
                     nxt.append(joined)
         frontier = nxt
     return found
+
+
+def _complement(p: int, d: int, base: tuple, maps: Sequence[tuple[tuple, int, tuple]]) -> tuple:
+    """Rows spanning a complement of span(base) in the x of F_p^d with x A in span(S) for
+    every (A, w, S) in maps, where A has d rows of width w and S rows of width w.
+
+    One echelon pass, with the images' columns before x's: base's rows (0 | b) first,
+    then each S's rows (s | 0) at its A's columns, then (e_j A | e_j) per unit vector.
+    The rows with a zero image part span those x; the ones off base's pivots are kept.
+    """
+    offs, width = [], 0
+    for _, w, _ in maps:
+        offs.append(width)
+        width += w
+    if p == 2:
+        rows = [b << width for b in base]
+        rows += [s << off for (_, _, sub), off in zip(maps, offs) for s in sub]
+        rows += [sum(a[j] << off for (a, _, _), off in zip(maps, offs)) | 1 << width + j
+                 for j in range(d)]
+    else:
+        def placed(row, off):
+            return (0,) * off + row + (0,) * (width + d - off - len(row))
+        rows = [placed(b, width) for b in base]
+        rows += [placed(s, off) for (_, _, sub), off in zip(maps, offs) for s in sub]
+        rows += [tuple(e for a, _, _ in maps for e in a[j]) + unit
+                 for j, unit in enumerate(_identity_rows(p, d))]
+    piv = _pivot_rows(p, rows)
+    skip = {width + _lead(p, b) for b in base}
+    return tuple(piv[t] >> width if p == 2 else piv[t][width:]
+                 for t in sorted(piv) if t >= width and t not in skip)
 
 
 def _combine(p: int, coeffs: Sequence[int], vectors: Sequence):

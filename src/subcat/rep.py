@@ -4,12 +4,14 @@ A representation assigns an F_p vector space to each vertex and a matrix to
 each arrow, acting on column vectors; relations are F_p-linear combinations
 of directed paths, composed left to right (the first listed arrow acts
 first).  Submodules are stored as tuples of row-span subspaces, one per
-vertex, that are stable under every arrow.
+vertex, that are stable under every arrow.  ``all_submodules`` grows a
+module's submodule lattice from 0 by socle covers, and SUBMODULE_BUDGET
+bounds the submodules it finds.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, ShapeError
 from .linalg import (
@@ -18,20 +20,19 @@ from .linalg import (
     _block,
     _check_prime,
     _coeff_walk,
+    _combine,
+    _complement,
     _Frozen,
-    _join_closure,
+    _join,
     _kron_rows,
-    _lines,
+    _pivot_insert,
     _slot_setters,
     nullspace,
     pack_row,
     rref,
 )
 
-SUBMODULE_DIM_CAP = 12
-# Lines of F_p^d enumerated per vertex by all_submodules; 2^12 - 1 is a
-# 12-dimensional vertex over F_2, the largest the dimension cap admits.
-SUBMODULE_LINE_BUDGET = 1 << 12
+SUBMODULE_BUDGET = 1 << 15  # submodules one all_submodules call may find, read at each call
 
 
 class Arrow(NamedTuple):
@@ -473,53 +474,72 @@ def generated_submodule(m: Rep, generators: Iterable[tuple[int, Sequence[int]]])
     """Smallest arrow-stable subspace tuple containing the given vectors.
 
     Generators are (vertex index, vector entries) pairs; packed rows are
-    accepted as well.
+    accepted as well.  Each vector new to its vertex's span sends its images
+    along the arrows out of that vertex.
     """
-    alg = m.algebra
-    p = alg.p
-    spaces = [Subspace.zero(p, d) for d in m.dims]
-    for v, vec in generators:
-        packed = vec if isinstance(vec, int) else pack_row(p, vec)
-        line = Subspace.from_matrix_rows(Mat(p, 1, m.dims[v], (packed,)))
-        spaces[v] = spaces[v].add(line)
-    changed = True
-    while changed:
-        changed = False
-        for idx, a in enumerate(alg.arrows):
-            if spaces[a.source].dim == 0:
-                continue
-            img = Subspace.image_of(m.mats[idx].mul(spaces[a.source].basis.transpose()))
-            grown = spaces[a.target].add(img)
-            if grown.dim != spaces[a.target].dim:
-                spaces[a.target] = grown
-                changed = True
-    return SubRep(m, tuple(spaces))
+    alg, p = m.algebra, m.algebra.p
+    echelons: list[dict] = [{} for _ in m.dims]
+    todo = [(v, vec if isinstance(vec, int) else pack_row(p, vec)) for v, vec in generators]
+    while todo:
+        v, x = todo.pop()
+        if _pivot_insert(p, echelons[v], x):
+            todo += [(a.target, Mat(p, 1, m.dims[v], (x,)).mul(m.transposed(idx)).rows[0])
+                     for idx, a in enumerate(alg.arrows) if a.source == v]
+    return SubRep(m, tuple(Subspace.from_matrix_rows(Mat(p, len(rows), d, tuple(rows.values())))
+                           for d, rows in zip(m.dims, echelons)))
+
+
+def _steps(m: Rep, key: tuple, socle: bool) -> Iterator[tuple]:
+    """Span tuples S of m such that N + S is a submodule, N the submodule at key: the
+    lines of the socle of m/N, else the cyclic submodules of the lines of m/N.
+    """
+    alg, p = m.algebra, m.algebra.p
+    empty = ((),) * alg.n_vertices
+    for v, (name, d) in enumerate(zip(alg.vertices, m.dims)):
+        if len(key[v]) == d:
+            continue
+        # x is in the socle of m/N when every arrow out of v maps it into N
+        maps = [(m.transposed(idx).rows, m.dims[a.target], key[a.target])
+                for idx, a in enumerate(alg.arrows) if a.source == v] if socle else []
+        basis = _complement(p, d, key[v], maps)
+        space = f"{'socle' if socle else 'quotient'} at vertex {name}"
+        for coeffs in _coeff_walk(p, len(basis), True, space, "submodule search"):
+            x = _combine(p, coeffs, basis)
+            if socle:
+                yield empty[:v] + ((x,),) + empty[v + 1:]
+            else:
+                yield generated_submodule(m, [(v, x)]).key()
 
 
 def all_submodules(m: Rep) -> list[SubRep]:
-    """Every arrow-stable subspace tuple, as the join closure of cyclic subs (``_join_closure``).
+    """Every arrow-stable subspace tuple, sorted by dimension vector, then by key.
 
-    Complete because each submodule is the join of the cyclic submodules of
-    its vectors, and v and c*v generate the same one, so one vector per line
-    suffices.  Raises CapExceeded above a total dimension of SUBMODULE_DIM_CAP,
-    and when a vertex has more than SUBMODULE_LINE_BUDGET lines.
+    Grown breadth first from 0: each submodule above N contains N + S for a
+    simple submodule S of m/N.  When the arrows act nilpotently on m, the S
+    are the lines of the socle of m/N, the common kernel at each vertex of
+    the arrows out of it, and this walk reaches m.  Otherwise it does not,
+    and a second walk steps to N + C for every cyclic submodule C generated
+    by a line of m/N, the simple ones among them.  Both walk their lines
+    through ``_coeff_walk``.  Raises CapExceeded before it finds more than
+    SUBMODULE_BUDGET submodules.
     """
-    if m.total_dim > SUBMODULE_DIM_CAP:
-        raise CapExceeded(f"total dimension {m.total_dim} exceeds submodule cap {SUBMODULE_DIM_CAP}")
     p = m.algebra.p
-    for v, d in enumerate(m.dims):
-        lines = (p ** d - 1) // (p - 1)
-        if lines > SUBMODULE_LINE_BUDGET:
-            raise CapExceeded(
-                f"vertex {m.algebra.vertices[v]} of dimension {d} over F_{p} has {lines} "
-                f"lines, over the submodule line budget {SUBMODULE_LINE_BUDGET}"
-            )
-    cyclic = {generated_submodule(m, [(v, vec)]).key(): None
-              for v, d in enumerate(m.dims) for vec in _lines(p, d)}
-    keys = sorted(_join_closure(p, SubRep.zero(m).key(), cyclic),
-                  key=lambda k: (tuple(map(len, k)), k))
+    zero, full = SubRep.zero(m).key(), SubRep.full(m).key()
+    for socle in (True, False):
+        found, queue = {zero}, [zero]
+        for key in queue:  # the loop reaches the covers appended below
+            for step in _steps(m, key, socle):
+                cover = _join(p, key, step)
+                if cover not in found:
+                    if len(found) >= SUBMODULE_BUDGET:
+                        raise CapExceeded(f"the submodules of a module of total dimension "
+                                          f"{m.total_dim} exceed the submodule budget {SUBMODULE_BUDGET}")
+                    found.add(cover)
+                    queue.append(cover)
+        if full in found:
+            break
     return [SubRep(m, tuple(Subspace(d, Mat(p, len(rows), d, rows)) for d, rows in zip(m.dims, k)))
-            for k in keys]
+            for k in sorted(queue, key=lambda k: (tuple(map(len, k)), k))]
 
 
 # -- isomorphism -----------------------------------------------------------------

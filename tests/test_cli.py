@@ -68,6 +68,14 @@ def test_closure_serre_empty(capsys):
     assert out.strip() == "{}"
 
 
+def test_closure_serre_of_m13(capsys):
+    """M13 has 14 submodules: the cover walk answers, where a cap on total dimension refused."""
+    code, out, err = run(capsys, "closure", "--builtin", "uniserial:13", "--kind", "serre",
+                         "--set", "M13")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "{" + ", ".join(f"M{k}" for k in range(1, 14)) + "}"
+
+
 def test_closure_explain_json(capsys):
     code, out, _ = run(
         capsys, "closure", "--builtin", "a2", "--kind", "tors", "--set", "B",
@@ -91,7 +99,7 @@ def test_closure_unknown_name(capsys):
     ("wide", "closure kind must be one of ['serre', 'torf', 'tors'], got 'wide'"),
 ])
 def test_closure_arguments_are_refused_before_building(monkeypatch, capsys, kind, message):
-    """Without the check first, the Serre closure of M20 exits 3 over the submodule cap."""
+    """The check comes first: no builder runs, although the Serre closure of M20 answers."""
     def refuse(*args, **kwargs):
         raise AssertionError("a builder was called")
 

@@ -268,9 +268,10 @@ def test_serre_cap_error_names_the_first_member_over_the_cap(monkeypatch, names,
 
     So {M1, M3, M6} reaches M4 through extensions of M1 and M2 before it visits M6.
     """
-    monkeypatch.setattr(rep, "SUBMODULE_DIM_CAP", 3)
+    monkeypatch.setattr(rep, "SUBMODULE_BUDGET", 4)  # M_d has d + 1 submodules
     cat = build_builtin("uniserial:6")
-    with pytest.raises(CapExceeded, match=f"^total dimension {dim} exceeds submodule cap 3$"):
+    with pytest.raises(CapExceeded, match=f"^the submodules of a module of total dimension {dim} "
+                                          "exceed the submodule budget 4$"):
         serre_closure(SubcatBits.from_names(cat, names))
 
 

@@ -22,11 +22,11 @@ AN3_WORDS = (">>", "<<", "<>", "><")
 DERIVED = ("wide", "ice", "ike", "ie")
 
 
-def nakayama_a3_rad2(tmp_path):
-    """A3 linearly oriented with rad^2 = 0: three simples and two length-2 projectives."""
+def nakayama_a3_rad2(tmp_path, p=2):
+    """A3 linearly oriented with rad^2 = 0 over F_p: three simples and two length-2 projectives."""
     apath = tmp_path / "algebra.json"
     apath.write_text(json.dumps({
-        "field_char": 2,
+        "field_char": p,
         "vertices": ["1", "2", "3"],
         "arrows": [{"name": "a", "from": "1", "to": "2"}, {"name": "b", "from": "2", "to": "3"}],
         "relations": [[{"coeff": 1, "path": ["a", "b"]}]],

@@ -6,7 +6,8 @@ import pytest
 
 from subcat import linalg, rep
 from subcat.errors import CapExceeded, ShapeError
-from subcat.linalg import Mat, Subspace, rref
+from subcat.catalog import build_builtin
+from subcat.linalg import Mat, Subspace, _join_closure, _lines, rref
 from subcat.rep import (
     Algebra,
     Morphism,
@@ -27,6 +28,8 @@ from subcat.rep import (
     subrep_is_stable,
     validate,
 )
+
+from test_lattice_path import nakayama_a3_rad2
 
 A2 = Algebra.build(2, ["1", "2"], [("a", "1", "2")])
 LOOP2 = Algebra.build(2, ["1"], [("x", "1", "1")], [[(1, ["x", "x"])]])
@@ -295,9 +298,11 @@ def test_all_submodules_vs_bruteforce(m):
 
 
 def test_all_submodules_cap():
-    big = Rep(A2, (7, 6), (Mat.zeros(2, 6, 7),))
-    with pytest.raises(CapExceeded):
-        all_submodules(big)
+    """Semisimple F_2^8 has 417,199 submodules; F_2^7, with 29,212, is answered."""
+    for m in (Rep(A2, (7, 6), (Mat.zeros(2, 6, 7),)), Rep(Algebra.build(2, ["1"], []), (8,), ())):
+        with pytest.raises(CapExceeded, match=f"^the submodules of a module of total dimension "
+                                              f"{m.total_dim} exceed the submodule budget 32768$"):
+            all_submodules(m)
 
 
 A2_F3 = Algebra.build(3, ["1", "2"], [("a", "1", "2")])
@@ -318,10 +323,59 @@ def test_all_submodules_line_budget_over_a_large_field():
     """A 2-dimensional vertex over F_1000003 has 1000004 lines; the budget stops it at once."""
     big_field = Algebra.build(1000003, ["1"], [])
     plane = Rep(big_field, (2,), ())
-    with pytest.raises(CapExceeded, match="vertex 1 of dimension 2 over F_1000003 has 1000004 lines"):
+    with pytest.raises(CapExceeded,
+                       match="^socle at vertex 1 of dimension 2 exceeds the submodule search budget$"):
         all_submodules(plane)
     line = Rep(big_field, (1,), ())
     assert len(all_submodules(line)) == 2
+
+
+def reference_submodules(m):
+    """The former all_submodules: the cyclic submodule of each line, then every join of them."""
+    p = m.algebra.p
+    cyclic = {generated_submodule(m, [(v, vec)]).key(): None
+              for v, d in enumerate(m.dims) for vec in _lines(p, d)}
+    return sorted(_join_closure(p, SubRep.zero(m).key(), cyclic),
+                  key=lambda k: (tuple(map(len, k)), k))
+
+
+def gate_modules(cat):
+    """Each indecomposable and two-summand sum of total dimension at most 12, at most 4,096
+    lines at each vertex: every such module the former all_submodules answered."""
+    p = cat.algebra.p
+    mods = list(cat.indecs) + [direct_sum(cat.algebra, [a, b]).rep
+                               for i, a in enumerate(cat.indecs) for b in cat.indecs[i:]
+                               if a.total_dim + b.total_dim <= 12]
+    return [m for m in mods if all((p ** d - 1) // (p - 1) <= 4096 for d in m.dims)]
+
+
+GATE_BUILTINS = ("a2", "a3", "an:4", "an:4:<><", "an:5:><<>", "uniserial:4", "uniserial:6")
+
+
+@pytest.mark.parametrize("descriptor", [*GATE_BUILTINS, "nakayama"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_all_submodules_matches_the_reference(tmp_path, descriptor, p):
+    """Same keys in the same order on each gate module of the catalog and of its opposite."""
+    cat = nakayama_a3_rad2(tmp_path, p) if descriptor == "nakayama" else build_builtin(descriptor, p=p)
+    for c in (cat, cat.opposite()):
+        for m in gate_modules(c):
+            assert [s.key() for s in all_submodules(m)] == reference_submodules(m), (c.names, m)
+
+
+FREE_LOOP = Algebra.build(2, ["1"], [("x", "1", "1")])
+TWO_CYCLE = Algebra.build(2, ["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+
+
+@pytest.mark.parametrize("m", [
+    Rep.make(FREE_LOOP, (2,), [[[0, 1], [1, 1]]]),
+    Rep.make(FREE_LOOP, (1,), [[[1]]]),
+    Rep.make(TWO_CYCLE, (1, 1), [[[1]], [[1]]]),
+    Rep.make(FREE_LOOP, (3,), [[[0, 0, 0], [0, 0, 1], [0, 1, 1]]]),
+], ids=["F_4", "x=1", "2-cycle", "S+F_4"])
+def test_all_submodules_where_the_arrows_are_not_nilpotent(m):
+    """The socle of each is 0 or S, so socle lines alone give {0}, or miss F_4 in S + F_4."""
+    assert validate(m) is None
+    assert [s.key() for s in all_submodules(m)] == reference_submodules(m)
 
 
 def test_generated_submodule():

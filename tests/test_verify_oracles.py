@@ -92,18 +92,19 @@ def test_filtration_search_matches_literal_search_nakayama(tmp_path):
 
 
 def test_splits_over_the_cap_raise_on_every_call_and_cache_nothing(monkeypatch):
-    monkeypatch.setattr(rep, "SUBMODULE_DIM_CAP", 1)
+    monkeypatch.setattr(rep, "SUBMODULE_BUDGET", 2)  # B has 3 submodules
     cat = build_builtin("a2")
     b = cat.index_of("B")
     for _ in range(2):
-        with pytest.raises(CapExceeded, match="^total dimension 2 exceeds submodule cap 1$"):
+        with pytest.raises(CapExceeded, match="^the submodules of a module of total dimension 2 "
+                                              "exceed the submodule budget 2$"):
             filt_contains(cat, lambda x: False, cat.indecs[b])
     assert cat._closure_memo["filt_splits"] == {}
 
 
 ORACLE_MEMOS = ("filt_keys", "filt_splits", ("layer", "tors"), ("layer", "torf"),
                 "sub_classes", "quotient_classes", "kerstep",
-                "mu", "subquotients")
+                "mu", "subquotients", "ext_closed")
 
 
 @pytest.mark.parametrize("descriptor", ["a3", "uniserial:4", "an:5"])
