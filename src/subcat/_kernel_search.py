@@ -29,25 +29,26 @@ closure condition:
   No kernel module is built on a complete catalog: Hom(X, -) is left
   exact, so dim Hom(X_k, ker v) = dim Hom(X_k, source) - rank(v o -), and
   the dimension vector is dim source_x - rank(v_x).  Both are ranks of
-  joins of the summands' image spans, read off a per-catalog table of
-  compositions of the Hom bases (``_pair_images``) and folded over the
-  summands one at a time, and (dimension vector, Hom profile) decodes to
-  the class through the catalog's ``_class_of``; a kernel that does not
-  decode there belies the catalog's completeness and raises UnknownModule.
+  joins of the summands' image spans, read off a per-pair table of
+  compositions of the Hom bases and the join closure of its images
+  (``_pair_lattice``), folded once per distinct summand over the joins its
+  copies reach, and (dimension vector, Hom profile) decodes to the class
+  through the catalog's ``_class_of``; a kernel that does not decode there
+  belies the catalog's completeness and raises UnknownModule.
   A catalog not marked complete builds each distinct kernel and identifies
   it through ``identify``, so a summand outside the catalog still raises
   UnknownModule.
 * cokernels: the kernel step on the opposite catalog.
 
 The mu bounds, which cap the copies of each indecomposable in the kernel
-step, serve only this step: each is computed when a step first reads its
-pair and memoized on the catalog, so enumeration never builds them.  mu(i,
-j) is read off the same composition table: the joins of the pair's images
-are the End(X_i)-submodules of Hom(X_i, X_j), and the depth of their join
-closure from 0 (``_join_closure``) is the largest generator count, with no
-End-ring arithmetic and no fallback.  Building a pair's table walks one map
-per line of its Hom, since c*g has the image spans and the kernel of g, and
-counts those lines against the same budget first.
+step, serve only this step: each is read when a step first takes its pair,
+so enumeration never builds them.  mu(i, j) is the depth of the very join
+closure the step folds: the joins of the pair's images are the
+End(X_i)-submodules of Hom(X_i, X_j), and the depth of each from 0
+(``_join_closure``) is its generator count, with no End-ring arithmetic and
+no fallback.  Building a pair's lattice walks one map per line of its Hom,
+since c*g has the image spans and the kernel of g, and counts those lines
+against the same budget first.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _image_violation(s: SubcatBits) -> Optional[str]:
 def _image(p: int, table: tuple, coeffs: Sequence[int]) -> tuple:
     """Per probe, the canonical span of the images of g∘- for g = sum c_t g_t.
 
-    ``table`` is a pair's composition table (see _pair_images): per probe,
+    ``table`` is a pair's composition table (see _pair_lattice): per probe,
     one row per generator of Hom(probe, X_i), holding its images under the
     basis g_t of Hom(X_i, X_j).
     """
@@ -135,19 +136,19 @@ def _image(p: int, table: tuple, coeffs: Sequence[int]) -> tuple:
                  for probe in table)
 
 
-def _pair_images(cat: Catalog, i: int, j: int) -> tuple[tuple, tuple]:
-    """The composition table of Hom(X_i, X_j) and its distinct images, built on first use.
+def _pair_lattice(cat: Catalog, i: int, j: int) -> tuple[tuple, dict[tuple, int]]:
+    """The composition table of Hom(X_i, X_j) and the join closure of its images, on first use.
 
     The probes are the vertices x, then the catalog members X_k.  At vertex
     x the generators are the basis vectors of (X_i)_x, mapped to the columns
     of g_t at x; at member k they are the basis f of Hom(X_k, X_i), mapped to
     the packed entries of g_t∘f in Hom(X_k, X_j) (``_composites``).  The
-    images come with the zero image first, one per distinct span tuple over
-    one g per line of Hom(X_i, X_j).  Raises CapExceeded before the walk
-    when those lines exceed the budget; a core holding X_i could not pass
-    the step's own check then.
+    images are taken over one g per line of Hom(X_i, X_j), and each join of
+    them maps to its depth, the fewest images that reach it, the zero image
+    at depth 0.  Raises CapExceeded before the walk when those lines exceed
+    the budget; a core holding X_i could not pass the step's own check then.
     """
-    memo = cat._closure_memo.setdefault("pair_images", {})
+    memo = cat._closure_memo.setdefault("pair_lattice", {})
     if (i, j) not in memo:
         p = cat.algebra.p
         gs = cat.hom_pair_basis(i, j)
@@ -161,8 +162,8 @@ def _pair_images(cat: Catalog, i: int, j: int) -> tuple[tuple, tuple]:
             tuple(_composites(p, f, cat.indecs[j], flats) for f in cat.hom_pair_basis(k, i))
             for k in range(cat.n)
         )
-        images = dict.fromkeys((tuple(() for _ in table), *(_image(p, table, c) for c in walk)))
-        memo[(i, j)] = (table, tuple(images))
+        images = dict.fromkeys(_image(p, table, c) for c in walk)
+        memo[(i, j)] = (table, _join_closure(p, tuple(() for _ in table), images))
     return memo[(i, j)]
 
 
@@ -186,8 +187,9 @@ def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
 
     Hom(core, X_b) is the sum of Hom(X_i, X_b) over the summands, so
     v = (g_s) and the image of v∘- on Hom(probe, core) is the join of the
-    images of the g_s∘-.  Those joins are folded one summand at a time over
-    each summand's distinct image spans, and Hom(probe, -) is left exact, so
+    images of the g_s∘-.  The m copies of a member i contribute exactly the
+    joins of depth at most m in its pair lattice, so the joins are folded
+    once per distinct member over those.  Hom(probe, -) is left exact, so
     dim Hom(probe, ker v) is dim Hom(probe, core) minus the join's rank; at
     vertex probes this is dims(ker v).  The dimension vector and Hom profile
     fix the class on a complete catalog.  v = 0 exactly when its join is
@@ -201,10 +203,12 @@ def _kernel_classes(cat: Catalog, core: ModuleId, b: int) -> frozenset:
     sizes = [0] * (nv + cat.n)
     zero = tuple(() for _ in sizes)
     joins = {zero}
-    for i in core:
-        table, images = _pair_images(cat, i, b)
-        sizes = [size + len(probe) for size, probe in zip(sizes, table)]
-        joins = {_join(p, w, img) for w in joins for img in images}
+    for i in dict.fromkeys(core):
+        copies = core.count(i)
+        table, lattice = _pair_lattice(cat, i, b)
+        sizes = [size + copies * len(probe) for size, probe in zip(sizes, table)]
+        reached = [w for w, depth in lattice.items() if depth <= copies]
+        joins = {_join(p, w, c) for w in joins for c in reached}
     found = {tuple(size - len(rows) for size, rows in zip(sizes, w)) for w in joins if w != zero}
     classes = frozenset(cat._class_of(ks[:nv], ks[nv:]) for ks in found)
     if None in classes:
@@ -241,7 +245,7 @@ def _hom_walk(cat: Catalog, core: ModuleId, b: int, dim: int) -> Iterator[tuple[
 
 
 def _mu_bound(cat: Catalog, i: int, j: int) -> int:
-    """How many copies of indec_i a morphism into indec_j can need, memoized per pair.
+    """How many copies of indec_i a morphism into indec_j can need.
 
     A map from X_i^m into X_j column-reduces, by an automorphism of the
     source, so that at most mu copies act nontrivially, where mu is the
@@ -249,20 +253,14 @@ def _mu_bound(cat: Catalog, i: int, j: int) -> int:
     the member probe X_i the image of g is g∘End(X_i), the cyclic submodule
     g generates, and every other probe's span is that submodule composed
     with Hom(probe, X_i); so a join of images is fixed by the sum of their
-    cyclic submodules, and ``_join_closure``, grown from the zero image one
-    image at a time, first reaches a submodule W after as many steps as W
-    needs generators.  mu is the depth of that closure.  When dim Hom <= 1,
-    or End = k and every subspace is a submodule, mu is dim Hom.
+    cyclic submodules, and its depth in the pair lattice is the number of
+    generators that submodule needs.  mu is the largest depth.  When dim
+    Hom <= 1, or End = k and every subspace is a submodule, mu is dim Hom.
     """
-    memo = cat._closure_memo.setdefault("mu", {})
-    if (i, j) not in memo:
-        h = cat.hom_dims[i][j]
-        if h <= 1 or cat.hom_dims[i][i] == 1:
-            memo[(i, j)] = h
-        else:
-            _, images = _pair_images(cat, i, j)
-            memo[(i, j)] = max(_join_closure(cat.algebra.p, images[0], images).values())
-    return memo[(i, j)]
+    h = cat.hom_dims[i][j]
+    if h <= 1 or cat.hom_dims[i][i] == 1:
+        return h
+    return max(_pair_lattice(cat, i, j)[1].values())
 
 
 # -- the kernel step ----------------------------------------------------------------------

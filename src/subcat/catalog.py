@@ -486,19 +486,22 @@ def _nonunits(m: Rep, basis: Sequence[Morphism],
               test: str) -> Iterator[tuple[tuple[int, ...], Morphism]]:
     """(coefficients, map) for each nonzero endomorphism of m that is not invertible.
 
-    The one walk over End(m), behind the idempotent search and the brick
-    test.  It runs over ``basis`` in coefficient order; a map is invertible
-    when it is at every vertex.  Nothing when dim End = 1, since End = k then
-    (or m = 0, with an empty basis).  c*e is idempotent only if c = 1, so all
-    p^dim End are counted against ``linalg.COEFF_WALK_BUDGET``.
+    The one walk over End(m), in coefficient order over ``basis``: the
+    idempotent search's, and the brick test's once every basis map is a unit.
+    Nothing when dim End = 1, since End = k then (or m = 0).  c*e is
+    idempotent only if c = 1, so ``linalg.COEFF_WALK_BUDGET`` counts p^dim End.
     """
     if len(basis) == 1:
         return
     for coeffs in _coeff_walk(m.algebra.p, len(basis), False, "End space", test):
         if any(coeffs):
             f = morphism_from_coeffs(basis, coeffs, m, m)
-            if any(rref(c).rank < d for c, d in zip(f.comps, m.dims)):
+            if _is_nonunit(m, f):
                 yield coeffs, f
+
+
+def _is_nonunit(m: Rep, f: Morphism) -> bool:
+    return any(rref(c).rank < d for c, d in zip(f.comps, m.dims))
 
 
 def find_nontrivial_idempotent(m: Rep) -> Optional[Morphism]:
@@ -512,12 +515,19 @@ def _idempotent(m: Rep, basis: Sequence[Morphism]) -> Optional[Morphism]:
 
 
 def is_brick(m: Rep) -> bool:
-    """Is End(m) a division ring: is m nonzero with no nonzero non-unit endomorphism?"""
+    """Is End(m) a division ring: is m nonzero with no nonzero non-unit endomorphism?
+
+    End = k needs no linear algebra, and a non-unit basis map answers no, so
+    the End walk runs only when every basis map is a unit.
+    """
     return _is_brick(m, hom_basis(m, m))
 
 
 def _is_brick(m: Rep, basis: Sequence[Morphism]) -> bool:
-    return bool(basis) and next(_nonunits(m, basis, "brick test"), None) is None
+    if len(basis) <= 1:
+        return bool(basis)
+    return (not any(_is_nonunit(m, f) for f in basis)
+            and next(_nonunits(m, basis, "brick test"), None) is None)
 
 
 def _invert_over_rationals(rows: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:

@@ -16,17 +16,16 @@ on first use.  Per module value: each member's span in a trace or reject
 there, and the trace or reject itself, keyed on the members of the subset
 whose span is nonzero.  Per member index and layer span rows: the class of
 a layer and of the quotient by it.  And, for the filtration search, per
-module value: its (dimension vector, Hom profile) key and its (layer,
-quotient) splits in `all_submodules` order, which the Serre closure's
-subquotient masks read too.  The trace/reject key is exact, because a zero
-span adds nothing to a join; a span is computed only when a subset holding
-its member asks, so nothing is computed that a join over every member would
-not compute.  Chains stay on catalog members: trace and reject commute with
-finite direct sums, so a step on a sum is the sum of its summands' steps.
-The oracles keep their algorithms and their order of search; they still
-read neither the Hom-orthogonality perps nor the lattice tables of
-`lattices`, which is what keeps them independent of the enumeration they
-check.
+module value: its (layer, quotient) splits in `all_submodules` order, which
+the Serre closure's subquotient masks read too.  The trace/reject key is
+exact, because a zero span adds nothing to a join; a span is computed only
+when a subset holding its member asks, so nothing is computed that a join
+over every member would not compute.  Chains stay on catalog members:
+trace and reject commute with finite direct sums, so a step on a sum is the
+sum of its summands' steps.  The oracles keep their algorithms and their
+order of search; they still read neither the Hom-orthogonality perps nor
+the lattice tables of `lattices`, which is what keeps them independent of
+the enumeration they check.
 
 ``_fill`` is the one bitset fixpoint of every closure under extensions: the
 Serre closure here, and the lattice path's torsion tables and Filt.  It adds
@@ -330,14 +329,6 @@ def torf_closure(c: SubcatBits) -> SubcatBits:
 # -- filtration oracle ------------------------------------------------------------------
 
 
-def _module_key(cat: Catalog, m: Rep) -> tuple:
-    """(dimension vector, Hom profile) of a module, memoized per catalog on its value."""
-    memo = cat._closure_memo.setdefault("filt_keys", {})
-    if m not in memo:
-        memo[m] = (m.dims, cat.profile(m))
-    return memo[m]
-
-
 def _splits(cat: Catalog, m: Rep) -> list[tuple[Rep, Rep]]:
     """(layer, quotient) per nonzero proper submodule, in all_submodules order.
 
@@ -360,25 +351,22 @@ def filt_contains(cat: Catalog, pred: Callable[[Rep], bool], x: Rep,
 
     Literal filtration search over all submodules: true when x is zero, when
     pred(x) holds, or when some nonzero proper submodule satisfies pred and
-    the quotient recursively passes.  pred must be isomorphism-invariant;
-    results are memoized per call on the (dimension vector, Hom profile)
-    key.  The keys and the submodule splits are pred-independent and cached
-    on the catalog; splitting a module over the submodule budget raises.
+    the quotient recursively passes.  pred must be isomorphism-invariant.
+    Results are memoized per call on the module value; the search only
+    descends in dimension.  The submodule splits are pred-independent and
+    cached on the catalog; splitting a module over the submodule budget
+    raises.
     """
     if _memo is None:
         _memo = {}
     if x.total_dim == 0:
         return True
-    key = _module_key(cat, x)
-    if key in _memo:
-        return _memo[key]
-    _memo[key] = False  # cycle guard; dimensions strictly decrease anyway
-    result = True if pred(x) else any(
-        pred(layer) and filt_contains(cat, pred, rest, _memo)
-        for layer, rest in _splits(cat, x)
-    )
-    _memo[key] = result
-    return result
+    if x not in _memo:
+        _memo[x] = True if pred(x) else any(
+            pred(layer) and filt_contains(cat, pred, rest, _memo)
+            for layer, rest in _splits(cat, x)
+        )
+    return _memo[x]
 
 
 # -- Serre closure -----------------------------------------------------------------------

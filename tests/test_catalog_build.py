@@ -175,16 +175,16 @@ def test_enumeration_never_builds_mu_bounds():
     cat = build_builtin("uniserial:5")
     for kind in KINDS:
         enumerate_family(cat, kind)
-    assert "mu" not in cat._closure_memo
+    assert "pair_lattice" not in cat._closure_memo
 
 
 @pytest.mark.parametrize("descriptor", sorted(PINNED_MU))
 def test_kernel_search_builds_pinned_mu_bounds(descriptor):
     cat = build_builtin(descriptor)
-    assert "mu" not in cat._closure_memo
+    assert "pair_lattice" not in cat._closure_memo
     # the first kernel step reads the bounds of its pairs, one pair at a time
     is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
-    assert cat._closure_memo["mu"]
+    assert cat._closure_memo["pair_lattice"]
     assert mu_table(cat) == PINNED_MU[descriptor]
     assert saturation(mu_table(cat)) == PINNED_SATURATION[descriptor]
 

@@ -19,14 +19,17 @@ from test_value_types import kronecker_preprojectives
 
 
 def reference_classes(cat, core, b):
-    """Every nonzero morphism core -> X_b: build its kernel and identify it."""
+    """Every nonzero morphism core -> X_b: build its kernel and identify it.
+
+    One map per line, with first nonzero coefficient 1, since ker(c*v) = ker v.
+    """
     src, tgt = cat.rep_of(core), cat.indecs[b]
     basis = hom_basis(src, tgt)
     p = cat.algebra.p
     return frozenset(
         cat.identify_sub(kernel(morphism_from_coeffs(basis, coeffs, src, tgt)))
         for coeffs in product(range(p), repeat=len(basis))
-        if any(coeffs)
+        if next((c for c in coeffs if c), 0) == 1
     )
 
 
@@ -91,6 +94,28 @@ def test_the_step_takes_mu_copies_of_each_member():
         "a morphism P1 + P1 + X -> X between member sums has kernel P2 + X, outside the subcategory")
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_kernel_classes_fold_each_member_within_its_copies(p, monkeypatch):
+    """Cores of P2 and P1 hold fewer copies than mu(P2, X) = 3 and as many as mu(P2, P1) = 2.
+
+    Every kernel of a map out of a sum of projectives P2 and P1 is projective,
+    so the Kronecker preprojectives, marked complete, decode each of them.
+    """
+    def no_kernel_modules(cat, core, b):
+        raise AssertionError("a complete catalog decodes every kernel from its ranks")
+
+    monkeypatch.setattr(_kernel_search, "_materialized_kernel_classes", no_kernel_modules)
+    kron = kronecker_preprojectives(p)
+    cat = Catalog(kron.algebra, kron.indecs, kron.names, complete=True)
+    assert mu_table(cat) == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
+    cases = [(core, b) for size in (1, 2, 3)
+             for core in combinations_with_replacement((0, 1), size) for b in (1, 2)]
+    assert len(cases) == 18
+    for core, b in cases:
+        assert _kernel_search._kernel_classes(cat, core, b) == reference_classes(cat, core, b), (
+            core, b)
+
+
 @pytest.mark.parametrize("descriptor,p", [("uniserial:6", 2), ("uniserial:8", 2), ("uniserial:6", 3)])
 def test_every_hom_between_uniserials_needs_one_copy(descriptor, p):
     """Hom(M_i, M_j) is cyclic over End(M_i), so each mu bound is 1."""
@@ -107,10 +132,10 @@ def test_over_the_budget_raises_before_enumerating():
     cat = build_builtin("uniserial:17")
     with pytest.raises(CapExceeded, match=r", M1\) of dimension 17 exceeds"):
         is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
-    assert "pair_images" not in cat._closure_memo
+    assert "pair_lattice" not in cat._closure_memo
     with pytest.raises(CapExceeded, match=re.escape("Hom(M17, M17) of dimension 17 exceeds")):
-        _kernel_search._pair_images(cat, 16, 16)
-    assert cat._closure_memo["pair_images"] == {}
+        _kernel_search._pair_lattice(cat, 16, 16)
+    assert cat._closure_memo["pair_lattice"] == {}
 
 
 def test_kernel_search_cap_message(monkeypatch):
@@ -219,12 +244,12 @@ def test_extension_masks_keep_the_ordered_witness(tmp_path):
 
 def test_composition_table_is_built_only_by_the_bounded_search():
     cat = build_builtin("uniserial:3")
-    assert "pair_images" not in cat._closure_memo
+    assert "pair_lattice" not in cat._closure_memo
     for kind in KINDS:
         enumerate_family(cat, kind)
-    assert "pair_images" not in cat._closure_memo
+    assert "pair_lattice" not in cat._closure_memo
     is_closed("wide", SubcatBits(cat, (1 << cat.n) - 1))
-    assert cat._closure_memo["pair_images"]
+    assert cat._closure_memo["pair_lattice"]
 
 
 def test_missing_kernel_summand_raises(tmp_path):

@@ -18,6 +18,8 @@ from subcat.lattices import (KINDS, _closure_operator, _next_closure_enum, _perp
 from subcat.linalg import Mat
 from subcat.rep import Algebra, Rep, hom_basis
 
+from test_value_types import f2_times_f4
+
 AN3_WORDS = (">>", "<<", "<>", "><")
 DERIVED = ("wide", "ice", "ike", "ie")
 
@@ -203,8 +205,24 @@ def test_endomorphism_walk_readers_on_edge_cases(monkeypatch):
     split = rep.direct_sum(cat.algebra, [cat.indecs[1], cat.indecs[1]]).rep
     e = find_nontrivial_idempotent(split)
     assert e is not None and e.compose(e) == e and not is_brick(split)
+    f4_brick = f2_times_f4().indecs[1]  # its catalog checks End for idempotents under the budget
     monkeypatch.setattr(linalg, "COEFF_WALK_BUDGET", 3)
     with pytest.raises(CapExceeded, match="End space of dimension 2 exceeds the brick test budget"):
-        is_brick(cat.indecs[1])
+        is_brick(f4_brick)
     with pytest.raises(CapExceeded, match="exceeds the idempotent search budget"):
         find_nontrivial_idempotent(split)
+    # the basis of End(M2) holds the nilpotent x, so M2 is answered under the same budget
+    assert not is_brick(cat.indecs[1])
+
+
+def test_a_nonunit_basis_map_refutes_a_brick_with_no_walk(monkeypatch):
+    """16 of the 17 basis maps of End(M17) are nilpotent: no walk over its 2^17 maps."""
+    def no_walk(m, basis, test):
+        raise AssertionError("a non-unit basis map answers the brick test")
+
+    monkeypatch.setattr(catalog, "_nonunits", no_walk)
+    alg = Algebra.build(2, ["1"], [("x", "1", "1")], [[(1, ["x"] * 17)]])
+    shift = Mat.from_rows(2, [[int(c == r - 1) for c in range(17)] for r in range(17)], ncols=17)
+    assert not is_brick(Rep(alg, (17,), (shift,)))
+    monkeypatch.setattr(linalg, "COEFF_WALK_BUDGET", 3)
+    assert not is_brick(build_builtin("uniserial:2").indecs[1])

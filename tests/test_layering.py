@@ -52,6 +52,7 @@ def test_one_endomorphism_walk(monkeypatch):
     from subcat import _kernel_search, catalog
 
     from test_kernel_search import mu_table
+    from test_value_types import f2_times_f4
 
     walk, seen = catalog._nonunits, []
 
@@ -63,7 +64,7 @@ def test_one_endomorphism_walk(monkeypatch):
     assert not hasattr(_kernel_search, "_nonunits")
     cat = build_builtin("uniserial:3")
     assert catalog.find_nontrivial_idempotent(cat.indecs[2]) is None
-    assert not catalog.is_brick(cat.indecs[2])
+    assert catalog.is_brick(f2_times_f4().indecs[1])
     mu_table(cat)
     assert set(seen) == {"idempotent search", "brick test"}
 

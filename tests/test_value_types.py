@@ -374,7 +374,7 @@ def test_mu_bounds_out_of_bricks_search_nothing(monkeypatch):
     def no_search(*args):
         raise AssertionError("a brick's mu bound needs no composition table")
 
-    monkeypatch.setattr(kernel_search, "_pair_images", no_search)
+    monkeypatch.setattr(kernel_search, "_pair_lattice", no_search)
     assert mu_table(kronecker_preprojectives(31)) == ((1, 2, 3), (0, 1, 2), (0, 0, 1))
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import shlex
 from contextlib import redirect_stdout
 from operator import add, sub
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from subcat import _kernel_search, cli, rep
-from subcat.catalog import build_builtin, mid_add, mid_from_counts
+from subcat.catalog import Catalog, build_builtin, mid_add, mid_from_counts
 from subcat.closures import SubcatBits, fac_contains, filt_contains, sub_contains
 from subcat.errors import CapExceeded
 from subcat._kernel_search import (
@@ -91,6 +92,24 @@ def test_filtration_search_matches_literal_search_nakayama(tmp_path):
     assert_filt_matches_literal(cat)
 
 
+@pytest.mark.parametrize("descriptor", ["an:4", "uniserial:4"])
+def test_filtration_search_computes_no_hom_profile(descriptor, monkeypatch):
+    """The search memoizes on module values: on seeded subsets it never asks for a Hom profile."""
+    cat = build_builtin(descriptor)
+
+    def no_profile(self, m):
+        raise AssertionError("the filtration search computes no Hom profile")
+
+    monkeypatch.setattr(Catalog, "profile", no_profile)
+    rng = random.Random(0)
+    for bits in sorted(rng.sample(range(1 << cat.n), 12)):
+        s = SubcatBits(cat, bits)
+        for pred in (fac_contains, sub_contains):
+            memo: dict = {}
+            for x in cat.indecs:
+                filt_contains(cat, lambda y: pred(s, y), x, _memo=memo)
+
+
 def test_splits_over_the_cap_raise_on_every_call_and_cache_nothing(monkeypatch):
     monkeypatch.setattr(rep, "SUBMODULE_BUDGET", 2)  # B has 3 submodules
     cat = build_builtin("a2")
@@ -102,9 +121,9 @@ def test_splits_over_the_cap_raise_on_every_call_and_cache_nothing(monkeypatch):
     assert cat._closure_memo["filt_splits"] == {}
 
 
-ORACLE_MEMOS = ("filt_keys", "filt_splits", ("layer", "tors"), ("layer", "torf"),
+ORACLE_MEMOS = ("filt_splits", ("layer", "tors"), ("layer", "torf"),
                 "sub_classes", "quotient_classes", "kerstep",
-                "mu", "subquotients", "ext_closed")
+                "pair_lattice", "subquotients", "ext_closed")
 
 
 @pytest.mark.parametrize("descriptor", ["a3", "uniserial:4", "an:5"])
