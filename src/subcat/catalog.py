@@ -17,11 +17,14 @@ The Hom system of a pair, the relation rows of its cocycles and each pull-back
 theta -> theta.f map vec X to vec(A X B) = (A kron B^T) vec X on row-major
 blocks, and are built as packed Kronecker rows (``linalg._kron_rows``).  A
 pair with no common support vertex has no unknowns: Hom = 0, with no solve.
+The build keeps each other pair's nullspace rows, as many as dim Hom, and
+reads a Hom basis off them on first use.
 
-The extension table is built in two passes.  First, per pair (i, j),
-Ext^1(X_j, X_i) = Z/B, where B is the image of the Hom system of the pair
-(j, i), of dimension unknowns - dim Hom(X_j, X_i), and Z is all of theta
-unless relations constrain it.  Where this rank count gives dim Z = dim B,
+The extension table is built on first read (by the build of a catalog not
+marked complete, whose completeness it checks), in two passes.  First, per
+pair (i, j), Ext^1(X_j, X_i) = Z/B, where B is the image of the Hom system of
+the pair (j, i), of dimension unknowns - dim Hom(X_j, X_i), and Z is all of
+theta unless relations constrain it.  Where this rank count gives dim Z = dim B,
 Ext^1 = 0 and nothing more is eliminated (if relations constrain Z, the
 constraint must still vanish on B); elsewhere one elimination grows the
 echelon rows of B by the cocycles, and those that grow them are a basis of
@@ -38,6 +41,7 @@ catalog, or a failed decode, assembles the middle and identifies it through
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 from operator import add, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -109,7 +113,11 @@ class _ExtSpace(NamedTuple):
 
 
 class Catalog:
-    """Immutable-after-build list of indecomposables with derived tables."""
+    """Indecomposables with derived tables; Hom bases and ``ext_table`` are built on first read.
+
+    ``_systems`` keeps every common-support pair's Hom system for the catalog's life, on
+    purpose: ``ext_table`` reads the matrices and ``hom_pair_basis`` the block offsets.
+    """
 
     def __init__(self, algebra: Algebra, indecs: Sequence[Rep], names: Sequence[str],
                  complete: bool = False, trusted_indecomposable: bool = False):
@@ -136,26 +144,21 @@ class Catalog:
         self._id_cache: dict = {}
         n = len(self.indecs)
         support = [sum(1 << v for v, d in enumerate(m.dims) if d) for m in self.indecs]
-        systems = {(i, j): _hom_system(self.indecs[i], self.indecs[j])
-                   for i in range(n) for j in range(n) if support[i] & support[j]}
-        self._hom_bases: dict[tuple[int, int], list[Morphism]] = {
-            (i, j): _hom_basis(self.indecs[i], self.indecs[j], *systems[(i, j)])
-            if (i, j) in systems else [] for i in range(n) for j in range(n)
-        }
+        self._systems = {(i, j): _hom_system(self.indecs[i], self.indecs[j])
+                         for i in range(n) for j in range(n) if support[i] & support[j]}
+        self._hom_rows = {pair: nullspace(mat).rows for pair, (mat, _) in self._systems.items()}
+        self._hom_bases: dict[tuple[int, int], list[Morphism]] = {}
         self.hom_dims = tuple(
-            tuple(len(self._hom_bases[(i, j)]) for j in range(n)) for i in range(n)
+            tuple(len(self._hom_rows.get((i, j), ())) for j in range(n)) for i in range(n)
         )
         self._check_entries(trusted_indecomposable)
         self._inverse = _invert_over_rationals(self.hom_dims)
         self.simples = tuple(k for k, m in enumerate(self.indecs) if m.total_dim == 1)
         self._vertex_simple = self._map_vertex_simples()
-        spaces = {(i, j): self._ext_space(i, j, systems.get((j, i), (None,))[0])
-                  for i in range(n) for j in range(n)}
-        self.ext_table: dict[tuple[int, int], frozenset] = {
-            (i, j): frozenset(self._ext_middles(i, j, spaces)) for i in range(n) for j in range(n)
-        }
         self._closure_memo: dict = {}
         self._opposite: Optional["Catalog"] = None
+        if not complete:  # a user catalog's table is its completeness check
+            self.ext_table
 
     # -- basic queries ------------------------------------------------------
 
@@ -169,6 +172,11 @@ class Catalog:
         return self._name_index[name]
 
     def hom_pair_basis(self, i: int, j: int) -> list[Morphism]:
+        """Hom(X_i, X_j) as morphisms, read off the pair's nullspace rows on first use."""
+        if (i, j) not in self._hom_bases:
+            rows = self._hom_rows.get((i, j), ())
+            self._hom_bases[(i, j)] = _hom_basis(self.indecs[i], self.indecs[j], rows,
+                                                 self._systems[(i, j)][1] if rows else ())
         return self._hom_bases[(i, j)]
 
     def rep_of(self, mid: ModuleId) -> Rep:
@@ -203,7 +211,7 @@ class Catalog:
         if trusted_indecomposable:
             return
         for k, m in enumerate(self.indecs):
-            if _idempotent(m, self._hom_bases[(k, k)]) is not None:
+            if _idempotent(m, self.hom_pair_basis(k, k)) is not None:
                 raise Decomposable(k, f"module {self.names[k]} splits: End contains an idempotent")
 
     def _map_vertex_simples(self) -> tuple[Optional[int], ...]:
@@ -217,6 +225,15 @@ class Catalog:
         return tuple(out)
 
     # -- extension middle terms --------------------------------------------------
+
+    @cached_property
+    def ext_table(self) -> dict[tuple[int, int], frozenset]:
+        """Middle terms of every pair, built on first read: all Ext spaces, then all middles."""
+        n = self.n
+        spaces = {(i, j): self._ext_space(i, j, self._systems.get((j, i), (None,))[0])
+                  for i in range(n) for j in range(n)}
+        return {(i, j): frozenset(self._ext_middles(i, j, spaces))
+                for i in range(n) for j in range(n)}
 
     def _cocycle_constraint(self, i: int, j: int) -> tuple[list[int], int, list]:
         """Theta offsets per arrow, their total, and the packed relation rows whose nullspace is Z.
@@ -333,7 +350,7 @@ class Catalog:
         return Rep(self.algebra, tuple(map(add, L.dims, N.dims)), tuple(mats))
 
     def ext_middle_terms(self, i: int, j: int) -> frozenset:
-        """All middle-term decompositions for extensions of indec_j by indec_i."""
+        """All middle-term decompositions for extensions of indec_j by indec_i, from ``ext_table``."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise ShapeError("catalog index out of range")
         return self.ext_table[(i, j)]

@@ -346,15 +346,16 @@ def hom_dim(m: Rep, n: Rep) -> int:
 
 def hom_basis(m: Rep, n: Rep) -> list[Morphism]:
     """An F_p-basis of Hom(m, n) as explicit morphisms."""
-    return _hom_basis(m, n, *_hom_system(m, n))
+    sys_mat, offs = _hom_system(m, n)
+    return _hom_basis(m, n, nullspace(sys_mat).rows, offs)
 
 
-def _hom_basis(m: Rep, n: Rep, sys_mat: Mat, offs: Sequence[int]) -> list[Morphism]:
-    """The morphisms read off the nullspace of the Hom system (sys_mat, offs) of (m, n)."""
+def _hom_basis(m: Rep, n: Rep, rows: Sequence, offs: Sequence[int]) -> list[Morphism]:
+    """The morphisms read off the packed nullspace rows of the Hom system of (m, n), blocks at offs."""
     p = m.algebra.p
     return [Morphism(m, n, tuple(_block(p, vec, off, dn, dm)
                                  for off, dn, dm in zip(offs, n.dims, m.dims)))
-            for vec in nullspace(sys_mat).rows]
+            for vec in rows]
 
 
 def morphism_from_coeffs(basis: Sequence[Morphism], coeffs: Sequence[int],

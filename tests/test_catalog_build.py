@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcat.catalog import _apply_inverse, _invert_over_rationals, build_builtin
-from subcat.closures import SubcatBits
-from subcat.lattices import KINDS, enumerate_family, is_closed
+from subcat import catalog as catalog_module
+from subcat.catalog import Catalog, _apply_inverse, _invert_over_rationals, build_builtin
+from subcat.closures import SubcatBits, chain_certificate, torf_closure, tors_closure
+from subcat.lattices import KINDS, enumerate_family, hasse, is_closed
+from subcat.rep import hom_basis
 
 from test_kernel_search import mu_table
 from test_verify_oracles import saturation
@@ -195,3 +197,34 @@ def test_concurrent_first_reads_agree():
         futures = [pool.submit(lambda: mu_table(cat)) for _ in range(4)]
         sats = [saturation(f.result(timeout=60)) for f in futures]
     assert sats == [PINNED_SATURATION["uniserial:5"]] * 4
+
+
+# -- tables on first read ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("descriptor", ["an:5", "uniserial:6", "an:7"])
+def test_hom_vanishing_commands_read_no_table(descriptor, monkeypatch):
+    """The build, serre, tors and torf enumeration, the tors Hasse diagram, both closures
+    and the chain certificates run with the Ext spaces, the middles and the catalog Hom
+    bases all refused; the tables read afterwards equal those of an eager build."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hom-vanishing command read a catalog table")
+
+    monkeypatch.setattr(Catalog, "_ext_space", refuse)
+    monkeypatch.setattr(Catalog, "_ext_middles", refuse)
+    monkeypatch.setattr(catalog_module, "_hom_basis", refuse)
+    cat = build_builtin(descriptor)
+    for kind in ("serre", "tors", "torf"):
+        enumerate_family(cat, kind)
+    hasse(enumerate_family(cat, "tors"))
+    top = SubcatBits(cat, 1 << (cat.n - 1))
+    tors_closure(top)
+    torf_closure(top)
+    for kind in ("tors", "torf"):
+        for k in range(cat.n):
+            chain_certificate(top, k, kind)
+    monkeypatch.undo()
+    eager = build_builtin(descriptor)  # its table read first, as the constructor once did
+    assert cat.ext_table == eager.ext_table
+    assert all(cat.hom_pair_basis(i, j) == hom_basis(cat.indecs[i], cat.indecs[j])
+               for i in range(cat.n) for j in range(cat.n))

@@ -408,6 +408,19 @@ def test_extension_space_at_cap_reaches_identification(tmp_path, capsys):
     assert err.count("\n") == 1 and "dimension vector (1, 1) is not in the catalog" in err
 
 
+@pytest.mark.parametrize("count,expected,message", [
+    (17, 3, "extension space of dimension 17 exceeds the middle-term search budget"),
+    (16, 2, "dimension vector (1, 1) is not in the catalog"),
+])
+def test_user_catalog_errors_precede_a_tors_closure(tmp_path, capsys, count, expected, message):
+    """A user catalog's extension table is its completeness check, read as it loads, so a
+    tors closure, which needs no Ext, exits as the catalog command does."""
+    args = file_catalog_args(tmp_path, parallel_arrows(count), SIMPLES)
+    code, out, err = run(capsys, "closure", *args, "--kind", "tors", "--set", "S1")
+    assert (code, out) == (expected, "")
+    assert err.count("\n") == 1 and message in err
+
+
 def test_threads_env_byte_identical(monkeypatch, capsys):
     # SUBCAT_THREADS is no longer read: a stale value in the environment changes nothing
     monkeypatch.delenv("SUBCAT_THREADS", raising=False)

@@ -182,6 +182,8 @@ def no_middle_modules(monkeypatch):
 def test_ext_table_matches_every_cocycle(descriptor, p, no_middle_modules):
     cat = build_builtin(descriptor, p=p)
     op = cat.opposite()
+    for c in (cat, op):
+        c.ext_table
     no_middle_modules.undo()
     for c in (cat, op):
         assert c.ext_table == reference_table(c)
@@ -232,21 +234,32 @@ def assert_packed_systems_match_reference(cat):
             assert _reduced_rows(p, rows) == _reduced_rows(p, ref_rows), (i, j)
 
 
+def read_tables(cat):
+    """Every Hom basis and the extension table, each built on its first read."""
+    bases = {(i, j): cat.hom_pair_basis(i, j) for i in range(cat.n) for j in range(cat.n)}
+    return bases, cat.ext_table
+
+
+def built_with_tables(make):
+    """The catalog and its opposite, with every table read."""
+    cats = [make()]
+    cats.append(cats[0].opposite())
+    return [(cat, read_tables(cat)) for cat in cats]
+
+
 def assert_build_matches_reference_build(make, monkeypatch):
     """Hom dimensions and bases, extension table and decoder equal those of a build through
-    the scalar loops, on the catalog and on its opposite."""
-    built = [make()]
-    built.append(built[0].opposite())
+    the scalar loops, on the catalog and on its opposite.  The reference reads its tables
+    while the scalar loops are in place."""
+    built = built_with_tables(make)
     monkeypatch.setattr(catalog_module, "_hom_system", reference_hom_system)
     monkeypatch.setattr(Catalog, "_cocycle_constraint", reference_cocycles)
-    reference = [make()]
-    reference.append(reference[0].opposite())
+    reference = built_with_tables(make)
     monkeypatch.undo()
-    for cat, ref in zip(built, reference):
+    for (cat, tables), (ref, ref_tables) in zip(built, reference):
         assert_packed_systems_match_reference(cat)
         assert cat.hom_dims == ref.hom_dims
-        assert cat._hom_bases == ref._hom_bases
-        assert cat.ext_table == ref.ext_table
+        assert tables == ref_tables
         assert cat._inverse == ref._inverse
 
 
@@ -261,15 +274,22 @@ def test_packed_build_matches_reference_build_on_incomplete_catalog(tmp_path_fac
 
 
 def test_rank_counts_skip_the_eliminations(monkeypatch):
-    """On an:7 only pairs with a common support vertex reach a Hom nullspace, and only pairs
-    with Ext^1 != 0 reach the coset elimination."""
-    nullspaces, eliminated, current = [], [], []
-    hom_basis, ext_space, pivot_insert = (catalog_module._hom_basis, Catalog._ext_space,
-                                          catalog_module._pivot_insert)
+    """Over the build of an:7 and a read of every table, each pair with a common support
+    vertex has its Hom system eliminated exactly once, no other system is eliminated, and
+    only pairs with Ext^1 != 0 reach the coset elimination."""
+    systems, nullspaces, eliminated, current = {}, [], [], []
+    hom_system, null, ext_space, pivot_insert = (
+        catalog_module._hom_system, catalog_module.nullspace, Catalog._ext_space,
+        catalog_module._pivot_insert)
 
-    def recording_basis(m, n, *system):
-        nullspaces.append((m, n))
-        return hom_basis(m, n, *system)
+    def recording_system(m, n):
+        system = hom_system(m, n)
+        systems[id(system[0])] = (m, n)
+        return system
+
+    def recording_nullspace(mat):
+        nullspaces.append(systems.get(id(mat)))
+        return null(mat)
 
     def recording_space(self, i, j, reverse):
         current.append((i, j))
@@ -283,14 +303,17 @@ def test_rank_counts_skip_the_eliminations(monkeypatch):
             eliminated.append(current[-1])
         return pivot_insert(p, piv, v)
 
-    monkeypatch.setattr(catalog_module, "_hom_basis", recording_basis)
+    monkeypatch.setattr(catalog_module, "_hom_system", recording_system)
+    monkeypatch.setattr(catalog_module, "nullspace", recording_nullspace)
     monkeypatch.setattr(Catalog, "_ext_space", recording_space)
     monkeypatch.setattr(catalog_module, "_pivot_insert", recording_insert)
     cat = build_builtin("an:7")
+    read_tables(cat)
     monkeypatch.undo()
     index = {m: k for k, m in enumerate(cat.indecs)}
     support = [{v for v, d in enumerate(m.dims) if d} for m in cat.indecs]
     shared = {(i, j) for i in range(cat.n) for j in range(cat.n) if support[i] & support[j]}
+    assert None not in nullspaces
     assert sorted((index[m], index[n]) for m, n in nullspaces) == sorted(shared)
     assert len(shared) < cat.n ** 2
     p = cat.algebra.p
