@@ -40,6 +40,13 @@ closure condition:
   UnknownModule.
 * cokernels: the kernel step on the opposite catalog.
 
+Each kind runs the extension check on every call, then its letters in
+``_LETTERS`` order.  The image, kernel and cokernel verdicts depend on the
+subset alone, so each is kept on the catalog per letter and subset, filled
+on first read, and brute force over all four kinds decides each letter once
+per subset.  A check that raises stores nothing, so ie still answers where a
+kernel step is over the budget.
+
 The mu bounds, which cap the copies of each indecomposable in the kernel
 step, serve only this step: each is read when a step first takes its pair,
 so enumeration never builds them.  mu(i, j) is the depth of the very join
@@ -53,6 +60,7 @@ against the same budget first.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .catalog import Catalog, ModuleId
@@ -68,17 +76,32 @@ if TYPE_CHECKING:
 def letter_violation(kind: str, s: SubcatBits) -> Optional[str]:
     """The first failing check of a wide, ice, ike or ie candidate, or None if all pass.
 
-    Extensions first; then images for ice, ike and ie, kernels for wide and
-    ike, and cokernels for wide and ice.
+    Extensions first, on every call; then the kind's letters in ``_LETTERS``
+    order, each verdict read through ``_verdict``.
     """
     witness = _ext_violation(s)
-    if witness is None and kind in ("ice", "ike", "ie"):
-        witness = _image_violation(s)
-    if witness is None and kind in ("wide", "ike"):
-        witness = _kernel_violation(s)
-    if witness is None and kind in ("wide", "ice"):
-        witness = _cokernel_violation(s)
+    for letter in _LETTERS[kind]:
+        if witness is None:
+            witness = _verdict(letter, s)
     return witness
+
+
+# the letters each kind checks after extensions, in order
+_LETTERS = {"ie": ("image",), "ice": ("image", "cokernel"), "ike": ("image", "kernel"),
+            "wide": ("kernel", "cokernel")}
+
+
+def _verdict(letter: str, s: SubcatBits) -> Optional[str]:
+    """One letter's witness for s, or None: computed on first read, then kept on the catalog.
+
+    One table per letter under the memo ``"letters"``, keyed on the subset's
+    bits; equal witnesses share one string.  A check that raises stores nothing.
+    """
+    table = s.catalog._closure_memo.setdefault("letters", {}).setdefault(letter, {})
+    if s.bits not in table:
+        witness = _CHECKS[letter](s)
+        table[s.bits] = witness if witness is None else sys.intern(witness)
+    return table[s.bits]
 
 
 def _mid_label(cat: Catalog, mid: ModuleId) -> str:
@@ -292,10 +315,8 @@ def _step_escape(s: SubcatBits) -> Optional[tuple]:
 def _kernel_violation(s: SubcatBits, dual: bool = False) -> Optional[str]:
     """A kernel of a member-sum morphism outside the subcategory, or None.
 
-    The step decides and names the witness (memo per step, not per subset); errors propagate.
+    The step decides and names the witness; errors propagate.
     """
-    if s.is_empty:
-        return None
     cat = s.catalog
     hit = _step_escape(s)
     if hit is None:
@@ -316,3 +337,6 @@ def _cokernel_violation(s: SubcatBits) -> Optional[str]:
     """Cokernels are kernels in the opposite catalog (same index order)."""
     op = s.catalog.opposite()
     return _kernel_violation(SubcatBits(op, s.bits), dual=True)
+
+
+_CHECKS = {"image": _image_violation, "kernel": _kernel_violation, "cokernel": _cokernel_violation}

@@ -68,11 +68,13 @@ def load_module(algebra: Algebra, path: str | Path) -> Rep:
             if raw is None or raw == []:
                 mats.append(Mat.zeros(algebra.p, want_rows, want_cols))
                 continue
+            matrix = f"matrix for arrow {a.name}"
             entries = [[_expect(x, int, f"an entry for arrow {a.name}", path) % algebra.p
-                        for x in row] for row in raw]
+                        for x in _expect(row, list, f"each row of the {matrix}", path)]
+                       for row in _expect(raw, list, matrix, path)]
             if len(entries) != want_rows or any(len(r) != want_cols for r in entries):
                 raise ParseError(
-                    f"{path}: matrix for arrow {a.name} must be {want_rows}x{want_cols}"
+                    f"{path}: {matrix} must be {want_rows}x{want_cols}"
                 )
             mats.append(Mat.from_rows(algebra.p, entries, ncols=want_cols))
     except ParseError:

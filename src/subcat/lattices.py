@@ -43,18 +43,20 @@ UnknownModule when one is missing.  The chain closures also stay behind
 independent of the perps.
 
 ``is_closed`` is the independent oracle, and strategy ``bruteforce``
-filters candidates through it: all 2^n subsets for serre, tors and torf,
-and for the letter kinds only the closed sets of ``_fill`` over the
-extension rows, the subsets its own extension check passes, listed once
-per catalog.  It decides
-serre, tors and torf exactly through the chain closure operators.  For
-wide, ice, ike and ie it runs the letter checks of ``_kernel_search``, a
-module imported on the first such check: the exact extension and image
-tests, and for wide, ice and ike the kernel/cokernel step, which decides
-exactly and names the witness.  ie is thus decided by its definition,
-closure under images and extensions, and not by the theorem the lattice
-path uses.  No check takes a configured cap; a family's JSON keeps, as a
-fixed record, the ``checker_config`` of the caps the checks once took.
+filters one candidate list through it for all seven kinds: the closed sets
+of ``_fill`` over the extension rows, the subsets its own extension check
+passes, listed once per catalog.  Every kind is extension-closed, so no
+member of a family is missed.  It decides serre, tors and torf exactly
+through the chain closure operators.  For wide, ice, ike and ie it runs the
+letter checks of ``_kernel_search``, a module imported on the first such
+check: the exact extension test on every call, then the image test for
+ice, ike and ie and the kernel/cokernel step for wide, ice and ike, which
+decides exactly and names the witness.  Each image, kernel and cokernel
+verdict is kept per catalog and subset, so the four kinds decide each
+letter once per subset.  ie is thus decided by its definition, closure
+under images and extensions, and not by the theorem the lattice path uses.
+No check takes a configured cap; a family's JSON keeps, as a fixed record,
+the ``checker_config`` of the caps the checks once took.
 """
 
 from __future__ import annotations
@@ -300,17 +302,16 @@ def enumerate_family(cat: Catalog, kind: str, strategy: str = "auto") -> Family:
     """Enumerate all subcategories of one kind.
 
     ``auto`` derives the family exactly from the lattice tables (see the
-    module docstring).  ``bruteforce`` filters the candidates of its kind
-    through the checker is_closed, the oracle of ``auto``; both return
-    identical families.
+    module docstring).  ``bruteforce`` filters one candidate list, the
+    extension-closed subsets (every kind is extension-closed), through the
+    checker is_closed, the oracle of ``auto``; both return identical families.
     """
     if kind not in KINDS:
         raise ShapeError(f"unknown subcategory kind {kind!r}")
     if strategy == "auto":
         bitsets = _lattice_bitsets(cat, kind)
     elif strategy == "bruteforce":
-        candidates = range(1 << cat.n) if kind in _CLOSURES else _ext_closed(cat)
-        bitsets = [b for b in candidates if is_closed(kind, SubcatBits(cat, b))[0]]
+        bitsets = [b for b in _ext_closed(cat) if is_closed(kind, SubcatBits(cat, b))[0]]
     else:
         raise ShapeError(f"unknown strategy {strategy!r}")
     return Family(kind, cat, _sorted_members(cat, bitsets))

@@ -8,13 +8,14 @@ from math import comb
 import pytest
 
 from subcat import catalog, linalg, rep
-from subcat._kernel_search import _ext_violation
+from subcat._kernel_search import (_cokernel_violation, _ext_violation, _image_violation,
+                                   _kernel_violation)
 from subcat.catalog import Catalog, build_builtin, find_nontrivial_idempotent, is_brick
 from subcat.closures import SubcatBits, _ext_rows, _fill, serre_closure, torf_closure, tors_closure
 from subcat.errors import CapExceeded
 from subcat.files import load_catalog
-from subcat.lattices import (KINDS, _closure_operator, _next_closure_enum, _perp_operator,
-                             _table_closure, enumerate_family)
+from subcat.lattices import (KINDS, _closure_operator, _ext_closed, _next_closure_enum,
+                             _perp_operator, _table_closure, enumerate_family, is_closed)
 from subcat.linalg import Mat
 from subcat.rep import Algebra, Rep, hom_basis
 
@@ -87,6 +88,86 @@ def test_bruteforce_candidates_are_the_extension_closed_subsets(tmp_path):
     for descriptor in descriptors:
         assert_fill_lists_the_extension_closed_subsets(build_builtin(descriptor))
     assert_fill_lists_the_extension_closed_subsets(nakayama_a3_rad2(tmp_path))
+
+
+# -- the one brute-force path against the filters it replaced -----------------------------
+
+
+def reference_letter_violation(kind, s):
+    """The per-kind filter with no letter memo: every letter check runs afresh for each kind."""
+    witness = _ext_violation(s)
+    if witness is None and kind in ("ice", "ike", "ie"):
+        witness = _image_violation(s)
+    if witness is None and kind in ("wide", "ike"):
+        witness = _kernel_violation(s)
+    if witness is None and kind in ("wide", "ice"):
+        witness = _cokernel_violation(s)
+    return witness
+
+
+def outcome(family):
+    """The family's bitsets, or the text of the CapExceeded it raises."""
+    try:
+        return family()
+    except CapExceeded as exc:
+        return f"CapExceeded: {exc}"
+
+
+def built(descriptor, tmp_path, copy):
+    if descriptor != "nakayama":
+        return build_builtin(descriptor)
+    root = tmp_path / str(copy)
+    root.mkdir()
+    return nakayama_a3_rad2(root)
+
+
+LETTER_CATALOGS = ["a2", "a3", *(f"an:3:{w}" for w in AN3_WORDS),
+                   *(f"an:4:{''.join(w)}" for w in product("<>", repeat=3)), "an:5", "an:5:><><",
+                   *(f"uniserial:{n}" for n in range(2, 7)), "nakayama"]
+
+
+@pytest.mark.parametrize("descriptor", LETTER_CATALOGS)
+def test_letter_kinds_equal_the_memo_free_filter(descriptor, tmp_path):
+    """The letter kinds in verify's order, sharing each letter verdict, against a fresh filter.
+
+    On the catalog and its opposite; the reference runs on a second build, so
+    no verdict reaches it from the memo.
+    """
+    for copy, side in enumerate((lambda c: c, Catalog.opposite)):
+        cat = side(built(descriptor, tmp_path, 2 * copy))
+        ref = side(built(descriptor, tmp_path, 2 * copy + 1))
+        for kind in ("ie", "wide", "ice", "ike"):
+            got = outcome(lambda: enumerate_family(cat, kind, "bruteforce").bitsets())
+            want = outcome(lambda: frozenset(
+                b for b in _ext_closed(ref)
+                if reference_letter_violation(kind, SubcatBits(ref, b)) is None))
+            assert got == want, (descriptor, copy, kind)
+        assert "letters" not in ref._closure_memo
+
+
+def test_uniserial6_answers_ie_and_raises_on_the_kernel_step():
+    cat = build_builtin("uniserial:6")
+    assert enumerate_family(cat, "ie", "bruteforce").count == 2
+    for kind in ("wide", "ice", "ike"):
+        with pytest.raises(CapExceeded) as info:
+            enumerate_family(cat, kind, "bruteforce")
+        assert str(info.value) == ("Hom(M1 + M2 + M3 + M4 + M5 + M6, M4) of dimension 18 "
+                                   "exceeds the kernel search budget"), kind
+
+
+CLOSURE_BUILTINS = ["a2", "a3", "an:1", "an:2:>", "an:2:<", *(f"an:3:{w}" for w in AN3_WORDS),
+                    *(f"an:4:{''.join(w)}" for w in product("<>", repeat=3)),
+                    *(f"uniserial:{n}" for n in range(1, 11))]
+
+
+@pytest.mark.parametrize("descriptor", [*CLOSURE_BUILTINS, "nakayama"])
+def test_closure_kinds_equal_the_filter_over_every_subset(descriptor, tmp_path):
+    """serre, tors and torf over the extension-closed subsets miss no member of 2^n."""
+    cat = built(descriptor, tmp_path, 0)
+    assert cat.n <= 10
+    for kind in ("serre", "tors", "torf"):
+        every = frozenset(b for b in range(1 << cat.n) if is_closed(kind, SubcatBits(cat, b))[0])
+        assert enumerate_family(cat, kind, "bruteforce").bitsets() == every, kind
 
 
 # a3 is the builtin an:3:>>, so the four orientations cover it

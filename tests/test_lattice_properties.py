@@ -1,10 +1,11 @@
 """The lattice path against brute force, duality and the closure laws, on random orientations and fields.
 
 For every kind, ``enumerate_family`` (strategy ``auto``, the lattice
-identities) must equal strategy ``bruteforce``, which filters every subset
-through ``is_closed`` and so runs the letter checks and the
-kernel/cokernel step of ``_kernel_search``.  Torsion-free classes of A are
-the torsion classes of the opposite algebra, in the same index order.
+identities) must equal strategy ``bruteforce``, which filters every
+extension-closed subset through ``is_closed`` and so runs the letter checks
+and the kernel/cokernel step of ``_kernel_search``, each letter once per
+subset.  Torsion-free classes of A are the torsion classes of the opposite
+algebra, in the same index order.
 """
 
 from hypothesis import example, given, settings

@@ -13,6 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -178,3 +179,19 @@ def test_malformed_files_exit_2_with_one_line(capsys, files):
     out = capsys.readouterr()
     assert code == 2, (files, out.err)
     assert out.err.count("\n") == 1 and out.err.startswith("error: "), out.err
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (5, "matrix for arrow a must be a list, got 5"),
+    ({"r": [1]}, 'matrix for arrow a must be a list, got {"r": [1]}'),
+    ([1], "each row of the matrix for arrow a must be a list, got 1"),
+    (["1"], 'each row of the matrix for arrow a must be a list, got "1"'),
+    ([[1, 0]], "matrix for arrow a must be 1x1"),
+])
+def test_a_matrix_that_is_no_list_of_lists_is_named(capsys, matrix, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        module = dict(VALID_MODULE, matrices={"a": matrix, "x": [[0]]})
+        alg_path, mod_path = write_catalog(Path(tmp), json.dumps(VALID_ALGEBRA), json.dumps(module))
+        code = main(["catalog", "--algebra", str(alg_path), "--modules", str(mod_path.parent)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {mod_path}: {message}\n"

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import shlex
+from collections import Counter
 from contextlib import redirect_stdout
 from operator import add, sub
 from pathlib import Path
@@ -20,6 +21,7 @@ from subcat._kernel_search import (
     _kernel_violation,
     _mid_label,
     _step_escape,
+    letter_violation,
 )
 from subcat.lattices import KINDS, enumerate_family
 from subcat.linalg import Subspace
@@ -123,7 +125,7 @@ def test_splits_over_the_cap_raise_on_every_call_and_cache_nothing(monkeypatch):
 
 ORACLE_MEMOS = ("filt_splits", ("layer", "tors"), ("layer", "torf"),
                 "sub_classes", "quotient_classes", "kerstep",
-                "pair_lattice", "subquotients", "ext_closed")
+                "pair_lattice", "subquotients", "ext_closed", "letters")
 
 
 @pytest.mark.parametrize("descriptor", ["a3", "uniserial:4", "an:5"])
@@ -139,6 +141,31 @@ def test_verification_builds_every_oracle_memo():
     cat = build_builtin("a2")
     cli.run_verification(cat, "a2")
     assert [m for m in ORACLE_MEMOS if m not in cat._closure_memo] == []
+
+
+def test_verification_decides_each_letter_once_per_subset(monkeypatch):
+    """The four letter kinds share one image, kernel and cokernel verdict per subset."""
+    calls = Counter()
+    for letter, check in dict(_kernel_search._CHECKS).items():
+        def counted(s, letter=letter, check=check):
+            calls[(id(s.catalog), letter, s.bits)] += 1
+            return check(s)
+
+        monkeypatch.setitem(_kernel_search._CHECKS, letter, counted)
+    cat = build_builtin("an:4")
+    assert all(ok for _, ok, _ in cli.run_verification(cat, "an:4"))
+    assert {letter for _, letter, _ in calls} == {"image", "kernel", "cokernel"}
+    assert max(calls.values()) == 1
+
+
+def test_a_letter_that_raises_stores_nothing_and_raises_again():
+    cat = build_builtin("uniserial:6")
+    full = SubcatBits.full(cat)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match=r"^Hom\(M1 \+ M2 \+ M3 \+ M4 \+ M5 \+ M6, M4\) "
+                                              r"of dimension 18 exceeds the kernel search budget$"):
+            letter_violation("wide", full)
+        assert cat._closure_memo["letters"]["kernel"] == {}
 
 
 # -- the kernel step against the capped tuple walk ----------------------------------------
